@@ -54,8 +54,8 @@ func main() {
 					pair = cs.Name + "→" + cd.Name
 				}
 			}
-			if ev := spikes.Offer(pair, m.ACKTime, m.Total); ev != nil {
-				events = append(events, *ev)
+			if ev, ok := spikes.Offer(pair, m.ACKTime, m.Total); ok {
+				events = append(events, ev)
 			}
 		},
 	}

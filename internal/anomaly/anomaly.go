@@ -15,9 +15,15 @@
 //
 //   - SpikeBank.Offer and SurgeDetector.Observe/Events are safe for
 //     concurrent use (internal locks). Detection state is per key, so
-//     results are deterministic as long as each KEY's samples arrive in
-//     order — which the sink guarantees by hashing every src→dst pair to a
-//     single worker. Offers for different keys may interleave freely.
+//     results are a deterministic function of each KEY's sample order;
+//     offers for different keys may interleave freely. The pipeline's sink
+//     hashes every src→dst pair to a single worker, so no two goroutines
+//     offer one key at once, but it does not fix that order: measurements
+//     reach the sink through the engine queues and the enricher's worker
+//     pool in no fixed order, so two runs of the same traffic can offer a
+//     key's samples in different orders and raise slightly different
+//     events. Replays that offer in a fixed order (E4, the tests) are
+//     exactly reproducible.
 //   - SpikeDetector and FloodDetector are single-goroutine types: callers
 //     serialize access (the pipeline guards its FloodDetector with a
 //     mutex; SpikeDetector is always used through a SpikeBank).
@@ -66,7 +72,6 @@ type SpikeDetector struct {
 	cfg    SpikeConfig
 	window *stats.RollingMedian
 	seen   int
-	events []Event
 }
 
 // NewSpikeDetector returns a detector with cfg defaults applied.
@@ -86,35 +91,30 @@ func NewSpikeDetector(cfg SpikeConfig) *SpikeDetector {
 	return &SpikeDetector{cfg: cfg, window: stats.NewRollingMedian(cfg.Window)}
 }
 
-// Offer examines one latency sample (ns). It returns a non-nil Event when
-// the sample is anomalous. Anomalous samples are NOT added to the baseline
-// (self-poisoning protection).
-func (d *SpikeDetector) Offer(ts int64, latencyNs int64) *Event {
+// Offer examines one latency sample (ns). It returns the Event and true
+// when the sample is anomalous; the detector keeps no copy, so retaining
+// events is the caller's choice. Anomalous samples are NOT added to the
+// baseline (self-poisoning protection). Only the event path allocates.
+func (d *SpikeDetector) Offer(ts int64, latencyNs int64) (Event, bool) {
 	x := float64(latencyNs)
 	if d.seen >= d.cfg.MinSamples {
-		med := d.window.Median()
-		mad := d.window.MAD()
+		med, mad := d.window.MedianMAD()
 		if mad < d.cfg.MinMADNs {
 			mad = d.cfg.MinMADNs
 		}
 		if x-med > d.cfg.K*mad { // one-sided: slow is anomalous, fast is fine
-			ev := Event{
+			return Event{
 				Time: ts, Kind: "latency_spike",
 				Detail:   fmt.Sprintf("latency %.1fms vs median %.1fms (MAD %.2fms)", x/1e6, med/1e6, mad/1e6),
 				Value:    x,
 				Baseline: med,
-			}
-			d.events = append(d.events, ev)
-			return &d.events[len(d.events)-1]
+			}, true
 		}
 	}
 	d.window.Add(x)
 	d.seen++
-	return nil
+	return Event{}, false
 }
-
-// Events returns all detections so far.
-func (d *SpikeDetector) Events() []Event { return d.events }
 
 // SpikeBank shards SpikeDetectors by key (city pair, AS pair...), with a
 // bound on the number of tracked keys.
@@ -133,16 +133,16 @@ func NewSpikeBank(cfg SpikeConfig, maxKeys int) *SpikeBank {
 	return &SpikeBank{cfg: cfg, byKey: make(map[string]*SpikeDetector), maxKeys: maxKeys}
 }
 
-// Offer routes the sample to its key's detector. Safe for concurrent use;
-// per-key determinism requires each key's samples to arrive in order (one
-// offering goroutine per key, as the sharded sink guarantees).
-func (b *SpikeBank) Offer(key string, ts, latencyNs int64) *Event {
+// Offer routes the sample to its key's detector and returns its verdict
+// (SpikeDetector.Offer). Safe for concurrent use; per-key results depend
+// on the order each key's samples arrive in.
+func (b *SpikeBank) Offer(key string, ts, latencyNs int64) (Event, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	d, ok := b.byKey[key]
 	if !ok {
 		if len(b.byKey) >= b.maxKeys {
-			return nil
+			return Event{}, false
 		}
 		d = NewSpikeDetector(b.cfg)
 		b.byKey[key] = d

@@ -14,12 +14,12 @@ func TestSpikeDetectorCatchesFirewallGlitch(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		ts := int64(i) * 1e9
 		lat := int64(150e6 + rng.NormFloat64()*10e6)
-		if ev := d.Offer(ts, lat); ev != nil {
+		if ev, ok := d.Offer(ts, lat); ok {
 			t.Fatalf("false positive at %d: %+v", i, ev)
 		}
 	}
-	ev := d.Offer(501e9, 4150e6)
-	if ev == nil {
+	ev, ok := d.Offer(501e9, 4150e6)
+	if !ok {
 		t.Fatal("4000ms glitch not detected")
 	}
 	if ev.Kind != "latency_spike" || ev.Value != 4150e6 {
@@ -40,7 +40,7 @@ func TestSpikeDetectorBaselineNotPoisoned(t *testing.T) {
 	}
 	fired := 0
 	for i := 0; i < 50; i++ {
-		if ev := d.Offer(int64(200+i)*1e9, 4000e6); ev != nil {
+		if _, ok := d.Offer(int64(200+i)*1e9, 4000e6); ok {
 			fired++
 		}
 	}
@@ -48,7 +48,7 @@ func TestSpikeDetectorBaselineNotPoisoned(t *testing.T) {
 		t.Fatalf("only %d/50 anomalous samples fired", fired)
 	}
 	// And the baseline must still be normal afterwards.
-	if ev := d.Offer(300e9, 156e6); ev != nil {
+	if ev, ok := d.Offer(300e9, 156e6); ok {
 		t.Fatalf("normal sample fired after anomaly run: %+v", ev)
 	}
 }
@@ -56,7 +56,7 @@ func TestSpikeDetectorBaselineNotPoisoned(t *testing.T) {
 func TestSpikeDetectorWarmup(t *testing.T) {
 	d := NewSpikeDetector(SpikeConfig{MinSamples: 64})
 	// Early outliers must not fire during warmup.
-	if ev := d.Offer(1, 4000e6); ev != nil {
+	if _, ok := d.Offer(1, 4000e6); ok {
 		t.Fatal("fired during warmup")
 	}
 }
@@ -75,7 +75,7 @@ func TestSpikeDetectorAdaptsToShift(t *testing.T) {
 	// sustained alarm after the window refills.
 	fired := 0
 	for i := 0; i < 200; i++ {
-		if ev := d.Offer(int64(300+i)*1e9, int64(210e6+rng.NormFloat64()*15e6)); ev != nil {
+		if _, ok := d.Offer(int64(300+i)*1e9, int64(210e6+rng.NormFloat64()*15e6)); ok {
 			fired++
 		}
 	}
@@ -90,14 +90,14 @@ func TestSpikeBankShardsByKey(t *testing.T) {
 	// own baseline, so Tokyo's 300ms must not alarm.
 	for i := 0; i < 200; i++ {
 		ts := int64(i) * 1e9
-		if ev := b.Offer("AKL→LAX", ts, 130e6); ev != nil {
+		if ev, ok := b.Offer("AKL→LAX", ts, 130e6); ok {
 			t.Fatalf("LAX false positive: %+v", ev)
 		}
-		if ev := b.Offer("AKL→TYO", ts, 300e6); ev != nil {
+		if ev, ok := b.Offer("AKL→TYO", ts, 300e6); ok {
 			t.Fatalf("TYO false positive: %+v", ev)
 		}
 	}
-	if ev := b.Offer("AKL→LAX", 999e9, 320e6); ev == nil {
+	if _, ok := b.Offer("AKL→LAX", 999e9, 320e6); !ok {
 		t.Fatal("LAX at Tokyo-latency must alarm on the LAX baseline")
 	}
 	if b.Keys() != 2 {
@@ -237,7 +237,7 @@ func TestSNMPPollerMissesShortGlitch(t *testing.T) {
 			affected++
 		}
 		snmp.Offer(ts, lat)
-		if ev := spike.Offer(ts, lat); ev != nil {
+		if _, ok := spike.Offer(ts, lat); ok {
 			spikes++
 		}
 	}
@@ -275,20 +275,33 @@ func TestSNMPPollerBucketsCorrectly(t *testing.T) {
 	}
 }
 
-func BenchmarkSpikeOffer(b *testing.B) {
-	d := NewSpikeDetector(SpikeConfig{Window: 256})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.Offer(int64(i), int64(150e6+i%1000))
+// fullBank returns a bank whose key holds a full default (512-sample)
+// window of ~150 ms baseline traffic, and a stream of non-anomalous samples
+// to keep offering: the sink's steady state.
+func fullBank(key string) (*SpikeBank, []int64) {
+	bank := NewSpikeBank(SpikeConfig{}, 0)
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]int64, 4096)
+	for i := range samples {
+		samples[i] = int64(150e6 + rng.NormFloat64()*10e6)
 	}
+	for i := 0; i < 512; i++ {
+		bank.Offer(key, int64(i), samples[i])
+	}
+	return bank, samples
 }
 
-func BenchmarkSpikeBankOffer(b *testing.B) {
-	bank := NewSpikeBank(SpikeConfig{Window: 256}, 1024)
-	keys := []string{"a", "b", "c", "d"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bank.Offer(keys[i%4], int64(i), int64(150e6+i%1000))
+func TestSpikeBankOfferNoAlloc(t *testing.T) {
+	bank, samples := fullBank("AKL→LAX")
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		if ev, ok := bank.Offer("AKL→LAX", int64(i), samples[i%len(samples)]); ok {
+			t.Fatalf("baseline sample fired: %+v", ev)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("non-event Offer on a full window allocates %.1f/op", allocs)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http/httptest"
 	"net/netip"
 	"runtime"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"ruru/internal/analytics"
+	"ruru/internal/anomaly"
 	"ruru/internal/core"
 	"ruru/internal/experiments"
 	"ruru/internal/gen"
@@ -63,8 +65,9 @@ type Spec struct {
 }
 
 // Specs returns the trajectory suite: one entry per pipeline hot path —
-// ingest hand-off, packet processing, sink drain, DB writes (legacy and
-// interned-ref), WAL-logged writes, and tier-served queries.
+// ingest hand-off, packet processing, sink drain, the spike detector, DB
+// writes (legacy and interned-ref), WAL-logged writes, and tier-served
+// queries.
 func Specs() []Spec {
 	return []Spec{
 		{Name: "ingest/burst", F: benchIngestBurst},
@@ -72,6 +75,7 @@ func Specs() []Spec {
 		{Name: "core/tsrtt", F: benchTSRTT},
 		{Name: "core/seq-rtt", F: benchSeqRTT},
 		{Name: "sink/consume", F: benchSinkConsume},
+		{Name: "anomaly/offer", F: benchSpikeOffer},
 		{Name: "db/write-batch", F: benchDBWriteBatch},
 		{Name: "db/write-batch-ref", F: benchDBWriteBatchRef},
 		{Name: "db/write-batch-ref-steady", F: benchDBWriteBatchRefSteady},
@@ -315,6 +319,32 @@ func benchSinkConsume(b *testing.B) {
 		b.Fatalf("sink dropped %d measurements", rows[0].Drops)
 	}
 	b.ReportMetric(rows[0].Rate, "msg/s")
+}
+
+// benchSpikeOffer: the sink's per-measurement latency-spike check —
+// SpikeBank.Offer on the production shape, full default (512-sample)
+// windows over 8 city-pair keys, baseline samples only (the non-event path:
+// one MedianMAD and one Add per op, 0 allocs/op).
+func benchSpikeOffer(b *testing.B) {
+	const keys, window = 8, 512
+	bank := anomaly.NewSpikeBank(anomaly.SpikeConfig{Window: window}, 0)
+	pairs := make([]string, keys)
+	for k := range pairs {
+		pairs[k] = fmt.Sprintf("City%d→Los Angeles", k)
+	}
+	rng := rand.New(rand.NewSource(1))
+	lat := make([]int64, 4096)
+	for i := range lat {
+		lat[i] = int64(150e6 + rng.NormFloat64()*10e6)
+	}
+	for i := 0; i < keys*window; i++ {
+		bank.Offer(pairs[i%keys], int64(i), lat[i%len(lat)])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank.Offer(pairs[i%keys], int64(i), lat[i%len(lat)])
+	}
 }
 
 func dbBatchOpts(stripes int) tsdb.Options {

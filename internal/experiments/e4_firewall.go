@@ -99,8 +99,8 @@ func E4(cfg E4Config, w io.Writer) (E4Result, error) {
 					pair = cs.Name + "→" + cd.Name
 				}
 			}
-			ev := spikes.Offer(pair, m.ACKTime, m.Total)
-			outcomes = append(outcomes, outcome{flow: m.Flow, fired: ev != nil})
+			_, fired := spikes.Offer(pair, m.ACKTime, m.Total)
+			outcomes = append(outcomes, outcome{flow: m.Flow, fired: fired})
 		},
 	}
 	rep.Run(g)

@@ -24,7 +24,8 @@ package lint
 //     bounded heap update or copy and may acquire nothing under it. The
 //     same goes for RollupDelta.mu (the /ws?stream=rollup accumulator):
 //     sink workers fold cells and the flusher swaps the map under it,
-//     marshalling outside.
+//     marshalling outside. Pipeline.spikeEventsMu too: it guards only the
+//     bounded ring of recent spike events.
 //   - tsdb query cache: queryCache.mu guards only the entry table, LRU
 //     list and byte ledger. It is strictly leaf and in particular is never
 //     held across a stripe scan — executeCached copies the entry pointer
@@ -45,6 +46,7 @@ func RepoLockOrder() *LockOrderSpec {
 			{ID: "core.statsCellMu", Type: "ruru/internal/core.statsCell", Field: "mu"},
 			{ID: "ruru.pairTopMu", Type: "ruru/internal/ruru.Pipeline", Field: "pairTopMu"},
 			{ID: "ruru.rollupDeltaMu", Type: "ruru/internal/ruru.RollupDelta", Field: "mu"},
+			{ID: "ruru.spikeEventsMu", Type: "ruru/internal/ruru.Pipeline", Field: "spikeEventsMu"},
 		},
 		Order: [][2]string{
 			{"tsdb.ckptMu", "tsdb.commitMu"},

@@ -668,16 +668,19 @@ func replayGolden(t *testing.T, w *geo.World, path string, oracle *goldenOracle,
 
 	// Drain: every completed measurement, every tracker sample and every
 	// loss event must land in the TSDB (Block policy + tiny load = zero
-	// loss anywhere downstream). The engine publishes tracker snapshots at
-	// burst boundaries, so the predicate also waits for the per-queue Seq
-	// counters to reach the oracle before asserting on them.
+	// loss anywhere downstream). The engine publishes its counter and
+	// tracker snapshots at burst boundaries, after the burst's
+	// measurements may already be stored, so the predicate also waits for
+	// the snapshot totals (TCP packets, the Seq loss counters) to reach the
+	// oracle before asserting on them.
 	lossTotal := oracle.Retrans + oracle.RTO + oracle.DupACK
 	expectedDB := oracle.Completed + oracle.TSSamples + oracle.SeqSamples + lossTotal
 	deadline := time.Now().Add(10 * time.Second)
 	var st Stats
 	for {
 		st = p.Stats()
-		if st.Engine.Completed == oracle.Completed && st.DBPoints == expectedDB &&
+		if st.Engine.Packets == oracle.TCPPackets &&
+			st.Engine.Completed == oracle.Completed && st.DBPoints == expectedDB &&
 			st.TSSamples == oracle.TSSamples && st.SeqSamples == oracle.SeqSamples &&
 			st.LossPoints == lossTotal &&
 			st.Seq.Retrans == oracle.Retrans && st.Seq.RTO == oracle.RTO &&
@@ -685,9 +688,9 @@ func replayGolden(t *testing.T, w *geo.World, path string, oracle *goldenOracle,
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("drain timeout: engine completed %d / db %d / ts %d / seq %d / loss %d, want %d / %d / %d / %d / %d",
-				st.Engine.Completed, st.DBPoints, st.TSSamples, st.SeqSamples, st.LossPoints,
-				oracle.Completed, expectedDB, oracle.TSSamples, oracle.SeqSamples, lossTotal)
+			t.Fatalf("drain timeout: engine packets %d / completed %d / db %d / ts %d / seq %d / loss %d, want %d / %d / %d / %d / %d / %d",
+				st.Engine.Packets, st.Engine.Completed, st.DBPoints, st.TSSamples, st.SeqSamples, st.LossPoints,
+				oracle.TCPPackets, oracle.Completed, expectedDB, oracle.TSSamples, oracle.SeqSamples, lossTotal)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

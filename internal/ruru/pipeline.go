@@ -245,8 +245,12 @@ type Pipeline struct {
 	floodMu sync.Mutex
 	snmpMu  sync.Mutex
 
-	spikeEventsMu sync.Mutex
-	spikeEvents   []anomaly.Event
+	// spikeEvents keeps the most recent spike events. It is bounded because
+	// a large permanent latency step (a path change) keeps every later
+	// measurement on its pair anomalous by design.
+	spikeEventsMu      sync.Mutex
+	spikeEvents        recentRing[anomaly.Event]
+	spikeEventsEvicted atomic.Uint64
 
 	tsSamples  atomic.Uint64
 	seqSamples atomic.Uint64
@@ -273,8 +277,7 @@ type sinkShard struct {
 	vals   []float64
 
 	mu       sync.Mutex
-	arcsBuf  []analytics.Enriched
-	arcsPos  int
+	arcs     recentRing[analytics.Enriched]
 	frameBuf []analytics.Enriched // reusable WS frame scratch (marshalled under mu)
 }
 
@@ -325,6 +328,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p.Bus = mq.NewBus()
 	p.Flood = anomaly.NewFloodDetector(cfg.Flood)
 	p.Spikes = anomaly.NewSpikeBank(cfg.Spike, 0)
+	p.spikeEvents = newRecentRing[anomaly.Event](spikeEventCap)
 	p.Surge = anomaly.NewSurgeDetector(cfg.Surge)
 	if cfg.SNMPInterval > 0 {
 		p.SNMP = anomaly.NewSNMPPoller(cfg.SNMPInterval)
@@ -405,9 +409,9 @@ func New(cfg Config) (*Pipeline, error) {
 	p.sinkShards = make([]*sinkShard, cfg.SinkWorkers)
 	for i := range p.sinkShards {
 		p.sinkShards[i] = &sinkShard{
-			ch:      make(chan sinkItem, sinkShardDepth),
-			refs:    make(map[string]tsdb.SeriesRef),
-			arcsBuf: make([]analytics.Enriched, 0, cfg.ArcsBuffer),
+			ch:   make(chan sinkItem, sinkShardDepth),
+			refs: make(map[string]tsdb.SeriesRef),
+			arcs: newRecentRing[analytics.Enriched](cfg.ArcsBuffer),
 		}
 	}
 
@@ -617,13 +621,16 @@ func (p *Pipeline) FlushRollupStream() {
 	}
 }
 
-// SpikeEvents returns latency-spike detections so far.
+// spikeEventCap is how many of the most recent spike events the pipeline
+// retains; older ones are counted in Stats.SpikeEvicted.
+const spikeEventCap = 4096
+
+// SpikeEvents returns the retained latency-spike detections, oldest first:
+// the last spikeEventCap of them.
 func (p *Pipeline) SpikeEvents() []anomaly.Event {
 	p.spikeEventsMu.Lock()
 	defer p.spikeEventsMu.Unlock()
-	out := make([]anomaly.Event, len(p.spikeEvents))
-	copy(out, p.spikeEvents)
-	return out
+	return p.spikeEvents.ordered()
 }
 
 // FloodEvents returns SYN-flood detections so far (thread-safe snapshot).
@@ -690,6 +697,10 @@ type Stats struct {
 	// class is silent.
 	DBWriteErrors uint64
 	TSSamples     uint64 // timestamp-echo RTT samples stored (when TrackTimestamps)
+	// SpikeEvicted counts latency-spike events dropped, oldest first,
+	// from the bounded list SpikeEvents and /api/anomalies serve (the
+	// most recent 4096).
+	SpikeEvicted uint64
 	// SeqSamples counts sequence-matched RTT samples stored (mode=seq and
 	// mode=onedir) and LossPoints the stored tcp_loss events, both part of
 	// the same must-not-vanish accounting as DBWriteErrors.
@@ -759,6 +770,7 @@ func (p *Pipeline) Stats() Stats {
 		SinkDrop:         p.sinkSub.Dropped(),
 		DBWriteErrors:    p.sinkWriteErrors.Load(),
 		TSSamples:        p.tsSamples.Load(),
+		SpikeEvicted:     p.spikeEventsEvicted.Load(),
 		SeqSamples:       p.seqSamples.Load(),
 		LossPoints:       p.lossPoints.Load(),
 		TSRTT:            p.Engine.TSStats(),

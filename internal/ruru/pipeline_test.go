@@ -347,6 +347,42 @@ func TestPipelineSpikeDetection(t *testing.T) {
 	}
 }
 
+func TestSpikeEventsBoundedAfterStep(t *testing.T) {
+	// A +200 ms permanent step (a path change) keeps every later sample on
+	// the pair anomalous, because anomalous samples never enter the
+	// baseline. Retention must stay at the cap, newest kept, the overflow
+	// counted.
+	w := newWorld(t)
+	p, err := New(Config{GeoDB: w.DB()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	e := analytics.Enriched{
+		Src: analytics.Endpoint{City: "Auckland"},
+		Dst: analytics.Endpoint{City: "Los Angeles"},
+	}
+	const pair, before, after = "Auckland→Los Angeles", 512, 100_000
+	for i := 0; i < before+after; i++ {
+		e.Time = int64(i) * 1e6
+		e.TotalNs = 145e6 + int64(i%7)*1e6
+		if i >= before {
+			e.TotalNs += 200e6
+		}
+		p.offerDetectors(&e, pair)
+	}
+	evs := p.SpikeEvents()
+	if len(evs) != spikeEventCap {
+		t.Fatalf("%d spike events retained, want the cap %d", len(evs), spikeEventCap)
+	}
+	if got := p.Stats().SpikeEvicted; got != after-spikeEventCap {
+		t.Fatalf("SpikeEvicted = %d, want %d", got, after-spikeEventCap)
+	}
+	if first, last := evs[0].Time, evs[len(evs)-1].Time; first != int64(before+after-spikeEventCap)*1e6 || last != int64(before+after-1)*1e6 {
+		t.Fatalf("retained events span %d..%d, want the most recent %d", first, last, spikeEventCap)
+	}
+}
+
 func TestPipelinePcapRoundTrip(t *testing.T) {
 	// The replay path an operator uses: generate → pcap → read back →
 	// inject → measure. Results must be identical to direct injection.

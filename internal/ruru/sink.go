@@ -221,19 +221,20 @@ func (p *Pipeline) consumeBatch(sh *sinkShard, batch []sinkItem) {
 
 	sh.mu.Lock()
 	for i := range batch {
-		sh.pushArcLocked(&batch[i].e)
+		sh.arcs.push(batch[i].e)
 	}
 	sh.mu.Unlock()
 }
 
 // offerDetectors feeds one measurement to the anomaly detectors and the
 // SNMP strawman. The detectors are safe for concurrent use (internal
-// locks); single-worker shard affinity additionally keeps per-key offer
-// order deterministic.
+// locks); single-worker shard affinity keeps each key on one goroutine.
 func (p *Pipeline) offerDetectors(e *analytics.Enriched, pair string) {
-	if ev := p.Spikes.Offer(pair, e.Time, e.TotalNs); ev != nil {
+	if ev, ok := p.Spikes.Offer(pair, e.Time, e.TotalNs); ok {
 		p.spikeEventsMu.Lock()
-		p.spikeEvents = append(p.spikeEvents, *ev)
+		if p.spikeEvents.push(ev) {
+			p.spikeEventsEvicted.Add(1)
+		}
 		p.spikeEventsMu.Unlock()
 	}
 	p.Surge.Observe(pair, e.Time)
@@ -244,26 +245,31 @@ func (p *Pipeline) offerDetectors(e *analytics.Enriched, pair string) {
 	}
 }
 
-// pushArcLocked appends one measurement to the shard's arc ring. Caller
-// holds sh.mu.
-func (sh *sinkShard) pushArcLocked(e *analytics.Enriched) {
-	if len(sh.arcsBuf) < cap(sh.arcsBuf) {
-		sh.arcsBuf = append(sh.arcsBuf, *e)
-	} else {
-		sh.arcsBuf[sh.arcsPos] = *e
-		sh.arcsPos = (sh.arcsPos + 1) % cap(sh.arcsBuf)
-	}
+// recentRing keeps the last cap(buf) values pushed, overwriting the oldest
+// once full. Not safe for concurrent use: its owner holds a lock.
+type recentRing[T any] struct {
+	buf []T
+	pos int // the oldest value's slot once full
 }
 
-// orderedArcsLocked returns the shard ring's contents oldest→newest.
-// Caller holds sh.mu.
-func (sh *sinkShard) orderedArcsLocked() []analytics.Enriched {
-	out := make([]analytics.Enriched, 0, len(sh.arcsBuf))
-	if len(sh.arcsBuf) < cap(sh.arcsBuf) {
-		return append(out, sh.arcsBuf...)
+func newRecentRing[T any](n int) recentRing[T] { return recentRing[T]{buf: make([]T, 0, n)} }
+
+// push appends v and reports whether it overwrote the oldest value.
+func (r *recentRing[T]) push(v T) bool {
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, v)
+		return false
 	}
-	out = append(out, sh.arcsBuf[sh.arcsPos:]...)
-	return append(out, sh.arcsBuf[:sh.arcsPos]...)
+	r.buf[r.pos] = v
+	r.pos = (r.pos + 1) % cap(r.buf)
+	return true
+}
+
+// ordered returns a copy of the values, oldest first.
+func (r *recentRing[T]) ordered() []T {
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[r.pos:]...)
+	return append(out, r.buf[:r.pos]...)
 }
 
 // Feed injects an enriched measurement directly into the sink stage,
@@ -301,7 +307,7 @@ func (p *Pipeline) Feed(e *analytics.Enriched) {
 		p.pairTopMu.Unlock()
 	}
 	sh.mu.Lock()
-	sh.pushArcLocked(e)
+	sh.arcs.push(*e)
 	sh.mu.Unlock()
 }
 
@@ -316,7 +322,7 @@ func (p *Pipeline) RecentArcs(n int) []analytics.Enriched {
 	var all []analytics.Enriched
 	for _, sh := range p.sinkShards {
 		sh.mu.Lock()
-		arcs := sh.orderedArcsLocked()
+		arcs := sh.arcs.ordered()
 		// The newest n of the merged set can only come from the newest n
 		// of each shard, so drop each shard's older remainder before the
 		// cross-shard sort instead of copying the whole ring.

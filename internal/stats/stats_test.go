@@ -214,7 +214,7 @@ func TestBucketMonotonicity(t *testing.T) {
 
 func TestRollingMedian(t *testing.T) {
 	r := NewRollingMedian(5)
-	if r.Median() != 0 || r.MAD() != 0 || r.Len() != 0 {
+	if med, mad := r.MedianMAD(); med != 0 || mad != 0 || r.Len() != 0 {
 		t.Fatal("empty window not zeroed")
 	}
 	for _, v := range []float64{10, 12, 11, 13, 9} {
@@ -223,19 +223,16 @@ func TestRollingMedian(t *testing.T) {
 	if r.Len() != 5 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	if r.Median() != 11 {
-		t.Fatalf("median = %v", r.Median())
-	}
 	// MAD of {10,12,11,13,9} about 11 is median{1,1,0,2,2} = 1.
-	if r.MAD() != 1 {
-		t.Fatalf("MAD = %v", r.MAD())
+	if med, mad := r.MedianMAD(); med != 11 || mad != 1 {
+		t.Fatalf("median, MAD = %v, %v", med, mad)
 	}
 	// Sliding: push 5 large values; median must follow.
 	for i := 0; i < 5; i++ {
 		r.Add(100)
 	}
-	if r.Median() != 100 {
-		t.Fatalf("median after slide = %v", r.Median())
+	if med, _ := r.MedianMAD(); med != 100 {
+		t.Fatalf("median after slide = %v", med)
 	}
 }
 
@@ -243,8 +240,8 @@ func TestRollingMedianPartialWindow(t *testing.T) {
 	r := NewRollingMedian(10)
 	r.Add(5)
 	r.Add(7)
-	if r.Median() != 6 {
-		t.Fatalf("median of two = %v", r.Median())
+	if med, mad := r.MedianMAD(); med != 6 || mad != 1 {
+		t.Fatalf("median, MAD of two = %v, %v", med, mad)
 	}
 	if NewRollingMedian(0).Len() != 0 {
 		t.Fatal("size-0 window should clamp to 1")
@@ -263,8 +260,8 @@ func TestRollingMedianRobustToOutlier(t *testing.T) {
 	}
 	r.Add(4000)
 	w.Add(4000)
-	if r.Median() != 150 {
-		t.Fatalf("median moved to %v", r.Median())
+	if med, mad := r.MedianMAD(); med != 150 || mad != 0 {
+		t.Fatalf("median, MAD moved to %v, %v", med, mad)
 	}
 	if w.Mean() < 185 {
 		t.Fatalf("mean should have been dragged: %v", w.Mean())
@@ -334,13 +331,25 @@ func BenchmarkWelfordAdd(b *testing.B) {
 	}
 }
 
+var benchMedian, benchMAD float64
+
+// BenchmarkRollingMedian measures the spike detector's per-measurement
+// shape on a full production-size window: one MedianMAD and one Add per op.
 func BenchmarkRollingMedian(b *testing.B) {
-	r := NewRollingMedian(128)
+	const window = 512
+	r := NewRollingMedian(window)
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]float64, 4096)
+	for i := range samples {
+		samples[i] = float64(int64(150e6 + rng.NormFloat64()*10e6))
+	}
+	for i := 0; i < window; i++ {
+		r.Add(samples[i])
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Add(float64(i % 1000))
-		if i%128 == 0 {
-			_ = r.Median()
-		}
+		benchMedian, benchMAD = r.MedianMAD()
+		r.Add(samples[i%len(samples)])
 	}
 }
