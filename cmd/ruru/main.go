@@ -141,7 +141,7 @@ func main() {
 		}
 	}()
 
-	srv := &http.Server{Addr: opt.listen, Handler: web.NewServer(p)}
+	srv := newHTTPServer(opt.listen, web.NewServer(p))
 	go func() {
 		log.Printf("ruru: serving API on %s (endpoints: /api/stats /api/query /api/arcs /api/anomalies /ws)", opt.listen)
 		if err := srv.ListenAndServe(); err != http.ErrServerClosed {
@@ -296,4 +296,28 @@ func replayPcap(ctx context.Context, path string, port *nic.Port, burst int) err
 	}
 	log.Printf("ruru: replayed %d packets", n)
 	return nil
+}
+
+// HTTP server bounds. They close connections that trickle their headers
+// (slowloris) or sit idle between keep-alive requests, and cap header size.
+// ReadTimeout and WriteTimeout stay unset on purpose: they bound a whole
+// request, and /ws streams for as long as a dashboard stays open, while a
+// GET /snapshot to a slow client or a large POST /write body can
+// legitimately outlast any fixed bound. The header deadline is cleared
+// once the headers are read, so it never reaches a live /ws stream.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+	httpMaxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer returns the API server for addr with the bounds above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
+		MaxHeaderBytes:    httpMaxHeaderBytes,
+	}
 }

@@ -20,7 +20,8 @@ func sampleEnriched(i int) Enriched {
 // TestLatencyRefHelpersMatchLatencyPoint pins the zero-alloc sink helpers
 // against the canonical LatencyPoint: zipping LatencyFieldKeys with
 // AppendLatencyVals must reproduce LatencyPoint's Fields exactly, so the
-// interned-ref write path stores bit-identical data to the legacy path.
+// sink's WriteBatchRef stores bit-identical data to WriteBatch of
+// LatencyPoint.
 func TestLatencyRefHelpersMatchLatencyPoint(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e := sampleEnriched(i)

@@ -66,7 +66,7 @@ type Spec struct {
 
 // Specs returns the trajectory suite: one entry per pipeline hot path —
 // ingest hand-off, packet processing, sink drain, the spike detector, DB
-// writes (legacy and interned-ref), WAL-logged writes, and tier-served
+// writes (by Point and by interned ref), WAL-logged writes, and tier-served
 // queries.
 func Specs() []Spec {
 	return []Spec{
@@ -351,8 +351,9 @@ func dbBatchOpts(stripes int) tsdb.Options {
 	return tsdb.Options{ShardDuration: 1e9, Retention: 2e9, Stripes: stripes}
 }
 
-// benchDBWriteBatch: the legacy string-keyed batched write path, 8 stripes
-// (bench_test.go BenchmarkDBWriteBatch/stripes-8).
+// benchDBWriteBatch: WriteBatch of Points, which resolves each point to
+// its ref under the stripe lock and then applies it as WriteBatchRef does;
+// 8 stripes (bench_test.go BenchmarkDBWriteBatch/stripes-8).
 func benchDBWriteBatch(b *testing.B) {
 	const batchLen = 64
 	db := tsdb.Open(dbBatchOpts(8))

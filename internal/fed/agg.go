@@ -2,7 +2,6 @@ package fed
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"net"
 	"sort"
@@ -67,16 +66,13 @@ type aggProbe struct {
 	mu          sync.Mutex
 	lastApplied uint64
 
-	// Ref-path write scratch, guarded by mu (applyBatch holds it through
-	// decode and apply): interned TSDB handles cached per decoded
-	// (name, tags, field-keys) shape — the probe tag is implicit since the
-	// cache itself is per-probe — plus reusable batch buffers, so the
-	// steady-state apply path allocates nothing per point.
-	refs   map[string]tsdb.SeriesRef
-	keyBuf []byte
-	rpts   []tsdb.RefPoint
-	vals   []float64
-	offs   []int
+	// Batch scratch, guarded by mu (applyBatch holds it through decode
+	// and write): the decoded points, with their tags (plus the probe tag)
+	// and fields copied into reusable arenas, so the steady-state apply
+	// path allocates nothing per point.
+	pts    []tsdb.Point
+	tags   []tsdb.Tag
+	fields []tsdb.Field
 
 	conns      atomic.Int64
 	lastRecvNs atomic.Int64
@@ -112,10 +108,11 @@ type AggStats struct {
 	// the stats' top-level DBDropped, not in any fed counter); DupBatches
 	// counts batches dropped by sequence dedup; BadFrames malformed or
 	// CRC-failing frames (connection dropped, probe resends); DecodeErrors
-	// CRC-valid records — or individual fieldless points — that could not
-	// become writable points (counted, skipped and acked: resending cannot
-	// fix them); WriteErrors batches refused by a closing DB; Rejected
-	// hellos refused at the MaxProbes distinct-identity cap.
+	// CRC-valid records — or individual points without fields or naming a
+	// field twice — that could not become writable points (counted,
+	// skipped and acked: resending cannot fix them); WriteErrors batches
+	// refused by a closing DB; Rejected hellos refused at the MaxProbes
+	// distinct-identity cap.
 	Batches, Points, DupBatches, BadFrames, DecodeErrors, WriteErrors, Rejected uint64
 	Probes                                                                      []ProbeAggStats
 }
@@ -176,7 +173,7 @@ func (a *Aggregator) probeFor(id string) *aggProbe {
 		if len(a.probes) >= a.cfg.MaxProbes {
 			return nil
 		}
-		ps = &aggProbe{id: id, refs: make(map[string]tsdb.SeriesRef)}
+		ps = &aggProbe{id: id}
 		ps.lastRecvNs.Store(-1)
 		a.probes[id] = ps
 	}
@@ -230,7 +227,6 @@ func (a *Aggregator) serve(conn net.Conn) {
 	}
 
 	var ackBuf []byte
-	pts := make([]tsdb.Point, 0, 256)
 	for {
 		msg, err := fr.Read()
 		if err != nil {
@@ -247,7 +243,7 @@ func (a *Aggregator) serve(conn net.Conn) {
 			a.badFrames.Add(1)
 			return
 		}
-		ack, ok := a.applyBatch(ps, seq, record, &pts)
+		ack, ok := a.applyBatch(ps, seq, record)
 		if !ok {
 			return
 		}
@@ -261,7 +257,7 @@ func (a *Aggregator) serve(conn net.Conn) {
 // applyBatch applies one batch exactly once and returns the cumulative ack
 // to send. ok=false means the DB refused the write (shutdown): drop the
 // connection without acking so the probe retains and resends the batch.
-func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte, pts *[]tsdb.Point) (ack uint64, ok bool) {
+func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte) (ack uint64, ok bool) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if seq <= ps.lastApplied {
@@ -269,52 +265,32 @@ func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte, pts *[]
 		a.dupBatches.Add(1)
 		return ps.lastApplied, true
 	}
-	batch := (*pts)[:0]
-	rpts := ps.rpts[:0]
-	vals := ps.vals[:0]
-	offs := ps.offs[:0]
+	batch, tags, fields := ps.pts[:0], ps.tags[:0], ps.fields[:0]
+	probe := tsdb.Tag{Key: a.cfg.ProbeTag, Value: ps.id}
 	dropped := 0
 	derr := tsdb.DecodeRecord(record, func(p *tsdb.Point) error {
-		if len(p.Fields) == 0 {
-			// A fieldless point (craftable on the wire, never produced by
-			// a real probe) would fail the WHOLE WriteBatch with the
-			// deterministic ErrNoFields — and since that error is handled
-			// as transient (no ack, resend), it would livelock the stream.
-			// Drop and count it here instead.
+		if tsdb.CheckFields(p.Fields) != nil {
+			// A fieldless point, or one naming a field twice (craftable on
+			// the wire, never produced by a real probe), would fail the
+			// WHOLE WriteBatch deterministically — and since a write error
+			// is handled as transient (no ack, resend), it would livelock
+			// the stream. Drop and count it here instead.
 			dropped++
 			return nil
 		}
-		if ref, ok := a.refFor(ps, p); ok {
-			// Interned fast path: values into the shared arena, Vals
-			// subslices fixed up below once the arena stops moving.
-			offs = append(offs, len(vals))
-			for _, f := range p.Fields {
-				vals = append(vals, f.Value)
-			}
-			rpts = append(rpts, tsdb.RefPoint{Ref: ref, Time: p.Time})
-			return nil
-		}
-		// Shapes Ref refuses (duplicate field keys) take the legacy copy
-		// path, preserving the old behaviour exactly.
-		q := tsdb.Point{
-			Name:   p.Name,
-			Tags:   make([]tsdb.Tag, 0, len(p.Tags)+1),
-			Fields: append([]tsdb.Field(nil), p.Fields...),
-			Time:   p.Time,
-		}
-		q.Tags = append(append(q.Tags, p.Tags...), tsdb.Tag{Key: a.cfg.ProbeTag, Value: ps.id})
-		batch = append(batch, q)
+		// A full-slice expression per point: an arena that moves leaves
+		// earlier points on its old, unchanged array.
+		nt, nf := len(tags), len(fields)
+		tags = append(append(tags, p.Tags...), probe)
+		fields = append(fields, p.Fields...)
+		batch = append(batch, tsdb.Point{Name: p.Name, Tags: tags[nt:len(tags):len(tags)],
+			Fields: fields[nf:len(fields):len(fields)], Time: p.Time})
 		return nil
 	})
-	offs = append(offs, len(vals))
-	for i := range rpts {
-		rpts[i].Vals = vals[offs[i]:offs[i+1]:offs[i+1]]
-	}
+	ps.pts, ps.tags, ps.fields = batch, tags, fields
 	if dropped > 0 {
 		a.decodeErrors.Add(uint64(dropped))
 	}
-	*pts = batch[:0]
-	ps.rpts, ps.vals, ps.offs = rpts, vals, offs
 	if derr != nil {
 		// CRC said the bytes arrived intact, so this is an encoding the
 		// probe will resend identically forever: count it, skip it, ack it
@@ -323,73 +299,24 @@ func (a *Aggregator) applyBatch(ps *aggProbe, seq uint64, record []byte, pts *[]
 		ps.lastApplied = seq
 		return seq, true
 	}
-	// Both writes can only fail with ErrClosedDB (shutdown; fieldless
+	// The write can only fail with ErrClosedDB (shutdown; unwritable
 	// points were filtered above): transient, so drop the connection
 	// without acking and let the probe resend to the restarted aggregator.
 	// With err == nil every point was handled — stored, or dropped by
 	// retention and counted in the DB's own dropped counter (surfaced as
 	// DBDropped in /api/stats), so Points below means "accepted", not
 	// "queryable".
-	if len(rpts) > 0 {
-		if _, err := a.db.WriteBatchRef(rpts); err != nil {
-			a.writeErrors.Add(1)
-			return 0, false
-		}
+	if _, err := a.db.WriteBatch(batch); err != nil {
+		a.writeErrors.Add(1)
+		return 0, false
 	}
-	if len(batch) > 0 {
-		if _, err := a.db.WriteBatch(batch); err != nil {
-			a.writeErrors.Add(1)
-			return 0, false
-		}
-	}
-	n := uint64(len(rpts) + len(batch))
+	n := uint64(len(batch))
 	ps.lastApplied = seq
 	ps.batches.Add(1)
 	a.batches.Add(1)
 	ps.points.Add(n)
 	a.points.Add(n)
 	return seq, true
-}
-
-// refFor resolves a decoded point's interned TSDB handle from the probe's
-// cache, creating it on first sight of the shape. ok=false means the shape
-// cannot take the ref path (duplicate field keys, or the DB is closing —
-// in which case the legacy write will surface the error). Caller holds
-// ps.mu.
-func (a *Aggregator) refFor(ps *aggProbe, p *tsdb.Point) (tsdb.SeriesRef, bool) {
-	// Cache key: name, tag count, tags, field keys — all length-prefixed,
-	// so distinct shapes can never collide.
-	b := ps.keyBuf[:0]
-	b = appendLenStr(b, p.Name)
-	b = binary.AppendUvarint(b, uint64(len(p.Tags)))
-	for _, t := range p.Tags {
-		b = appendLenStr(b, t.Key)
-		b = appendLenStr(b, t.Value)
-	}
-	for _, f := range p.Fields {
-		b = appendLenStr(b, f.Key)
-	}
-	ps.keyBuf = b
-	if ref, ok := ps.refs[string(b)]; ok {
-		return ref, true
-	}
-	tags := make([]tsdb.Tag, 0, len(p.Tags)+1)
-	tags = append(append(tags, p.Tags...), tsdb.Tag{Key: a.cfg.ProbeTag, Value: ps.id})
-	fields := make([]string, len(p.Fields))
-	for i, f := range p.Fields {
-		fields[i] = f.Key
-	}
-	ref, err := a.db.Ref(p.Name, tags, fields...)
-	if err != nil {
-		return 0, false
-	}
-	ps.refs[string(b)] = ref
-	return ref, true
-}
-
-func appendLenStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // Stats snapshots the aggregator counters.

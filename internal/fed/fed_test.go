@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,6 +215,7 @@ func TestFederationEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var probes []*Probe
+	var running sync.WaitGroup
 	for pi := 0; pi < nProbes; pi++ {
 		bus := mq.NewBus()
 		defer bus.Close()
@@ -225,7 +227,11 @@ func TestFederationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		probes = append(probes, pr)
-		go pr.Run(ctx)
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			pr.Run(ctx)
+		}()
 		go func() {
 			for i := 0; i < perProbe; i++ {
 				publishEnriched(bus, i)
@@ -285,7 +291,10 @@ func TestFederationEndToEnd(t *testing.T) {
 			t.Fatalf("probe %s not connected after recovery", ps.ID)
 		}
 	}
+	// Let Run return before Close and the spool dirs' cleanup: a probe
+	// winding down still flushes its last partial batch to the spool.
 	cancel()
+	running.Wait()
 	for _, pr := range probes {
 		pr.Close()
 	}
@@ -498,12 +507,27 @@ func TestFlushSplitsOversizedBatch(t *testing.T) {
 	}
 }
 
-// TestFieldlessPointSkippedNotLivelocked pins the aggregator against the
-// one deterministic WriteBatch failure reachable from the wire: a
-// CRC-valid record containing a fieldless point must not wedge the stream
+// TestFieldlessPointSkippedNotLivelocked pins the aggregator against a
+// deterministic WriteBatch failure reachable from the wire: a CRC-valid
+// record containing a fieldless point must not wedge the stream
 // (ErrNoFields fails a whole batch) — the point is dropped and counted,
 // the rest of the batch applies, and the batch is acked.
 func TestFieldlessPointSkippedNotLivelocked(t *testing.T) {
+	applyUnwritablePoint(t, tsdb.Point{Name: "empty", Time: 2}) // no fields
+}
+
+// TestDuplicateFieldPointSkippedNotLivelocked is the same contract for a
+// point naming a field twice (ErrDupField fails a whole batch).
+func TestDuplicateFieldPointSkippedNotLivelocked(t *testing.T) {
+	applyUnwritablePoint(t, tsdb.Point{Name: "latency",
+		Fields: []tsdb.Field{{Key: "total_ms", Value: 7}, {Key: "total_ms", Value: 8}}, Time: 2})
+}
+
+// applyUnwritablePoint sends one batch of two good points around bad over
+// a raw probe connection and asserts bad alone is dropped and counted in
+// DecodeErrors while the batch applies and is acked.
+func applyUnwritablePoint(t *testing.T, bad tsdb.Point) {
+	t.Helper()
 	db := tsdb.Open(tsdb.Options{})
 	defer db.Close()
 	agg, err := NewAggregator(AggConfig{Listen: "127.0.0.1:0"}, db)
@@ -529,7 +553,7 @@ func TestFieldlessPointSkippedNotLivelocked(t *testing.T) {
 	var enc tsdb.RecordEncoder
 	rec := enc.AppendRecord(nil, []tsdb.Point{
 		{Name: "latency", Fields: []tsdb.Field{{Key: "total_ms", Value: 1}}, Time: 1},
-		{Name: "empty", Time: 2}, // no fields: would fail WriteBatch outright
+		bad, // would fail WriteBatch outright
 		{Name: "latency", Fields: []tsdb.Field{{Key: "total_ms", Value: 2}}, Time: 3},
 	})
 	if err := mq.WriteFrame(conn, mq.Message{Topic: topicBatch,

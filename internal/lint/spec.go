@@ -68,7 +68,6 @@ func RepoMustCheck() *MustCheckSpec {
 		"(*ruru/internal/tsdb.DB).Checkpoint",
 		"(*ruru/internal/tsdb.DB).Snapshot",
 		"(*ruru/internal/tsdb.wal).appendRecord",
-		"(*ruru/internal/tsdb.wal).AppendPoint",
 		"(*ruru/internal/tsdb.wal).AppendPoints",
 		"(*ruru/internal/tsdb.wal).Rotate",
 		"(*ruru/internal/tsdb.wal).Sync",

@@ -49,9 +49,6 @@ type Config struct {
 	// Poll tunes the measurement workers' adaptive idle ladder
 	// (spin → yield → decaying sleep; zero values get defaults).
 	Poll core.PollConfig
-	// PollSleep is the legacy fixed idle-sleep knob; when set it becomes
-	// Poll.SleepMax. Prefer Poll.
-	PollSleep time.Duration
 
 	// Overflow selects what injection does when an RX queue is full:
 	// nic.Drop (default, NIC-faithful: frame lost, counted Imissed) or
@@ -343,9 +340,8 @@ func New(cfg Config) (*Pipeline, error) {
 			Timeout:  cfg.HandshakeTimeout,
 			OnExpire: p.onExpire,
 		},
-		Burst:     cfg.Burst,
-		Poll:      cfg.Poll,
-		PollSleep: cfg.PollSleep,
+		Burst: cfg.Burst,
+		Poll:  cfg.Poll,
 	}
 	if cfg.TrackTimestamps {
 		engCfg.TSSink = core.TSSinkFunc(p.onTSSample)

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,34 +77,19 @@ type DB struct {
 	persist  *persister
 	commitMu sync.RWMutex
 
-	// Series directory: every series identity ever written, published
-	// copy-on-write behind dir so queries resolve series lock-free (see
-	// ref.go). byKey/refByKey and the backing arrays are guarded by dirMu;
-	// a write creating a brand-new series interns it under stripe mu →
-	// dirMu, which is why dirMu is last in the lock order.
+	// Series directory: every series identity and ref ever created,
+	// published copy-on-write behind dir so queries and WriteBatchRef
+	// resolve them lock-free (see ref.go). The backing arrays are guarded
+	// by dirMu; a write creating a brand-new series or ref publishes it
+	// under stripe mu → dirMu, which is why dirMu is last in the lock
+	// order.
 	dir       atomic.Pointer[seriesDir]
 	dirMu     sync.Mutex
-	byKey     map[string]*seriesIdent
-	refByKey  map[string]SeriesRef
 	identsBuf []*seriesIdent
 	refsBuf   []*refState
 
-	// scratchPool recycles the per-batch key arena + stripe-id scratch the
-	// legacy Write/WriteBatch paths use, so they no longer allocate per
-	// call.
-	scratchPool sync.Pool
-
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// writeScratch is pooled per-call scratch for the legacy write paths: a key
-// arena (all series keys of a batch, back to back), per-point arena offsets
-// and per-point stripe ids.
-type writeScratch struct {
-	arena []byte
-	offs  []int
-	sids  []uint32
 }
 
 // stripe is one lock-striped partition: a full shard map for the series
@@ -115,6 +101,10 @@ type stripe struct {
 	shards map[int64]*shard // keyed by shard start time
 	order  []int64          // sorted shard starts
 	tiers  []tierStripe     // one per Options.Rollups entry
+	// idents indexes the series that hash into this stripe by series key;
+	// each ident lists its refs. WriteBatch and Ref resolve a point to its
+	// ref here, under the stripe lock they already hold.
+	idents map[string]*seriesIdent
 }
 
 // shard holds all series for one time slice (within one stripe). Queries
@@ -205,12 +195,9 @@ func OpenDB(opts Options) (*DB, error) {
 	if opts.QueryCache > 0 {
 		db.qcache = newQueryCache(opts.QueryCache)
 	}
-	db.byKey = make(map[string]*seriesIdent)
-	db.refByKey = make(map[string]SeriesRef)
 	db.dir.Store(&seriesDir{})
-	db.scratchPool.New = func() any { return &writeScratch{} }
 	for i := range db.stripes {
-		st := &stripe{shards: make(map[int64]*shard)}
+		st := &stripe{shards: make(map[int64]*shard), idents: make(map[string]*seriesIdent)}
 		st.tiers = make([]tierStripe, len(opts.Rollups))
 		for t := range st.tiers {
 			st.tiers[t].shards = make(map[int64]*tierShard)
@@ -252,102 +239,65 @@ func (db *DB) advanceMaxT(t int64) int64 {
 	}
 }
 
-// Write stores one point. Tags are sorted in place. Points older than the
-// retention horizon are dropped. On a persistent DB the point is logged to
-// the WAL before it is applied (fsync per Options.Persist.Fsync); a WAL
-// append failure fails the write, so recoverable state never runs behind
-// what queries can see.
+// Write stores one point: WriteBatch of that point alone.
 func (db *DB) Write(p *Point) error {
-	if len(p.Fields) == 0 {
-		return ErrNoFields
+	_, err := db.WriteBatch([]Point{*p})
+	return err
+}
+
+// WriteBatch stores all points, taking each involved stripe lock exactly
+// once — the sink-stage fast path that amortizes synchronization across a
+// whole burst. Tags are sorted in place. Points older than the retention
+// horizon are dropped. A point failing CheckFields (no fields, or a field
+// key named twice) fails the entire batch before anything is written.
+// On a persistent DB the batch is logged to the WAL as one record before
+// it is applied (fsync per Options.Persist.Fsync); a WAL append failure
+// fails the write, so recoverable state never runs behind what queries can
+// see. ErrClosedDB from a concurrent Close, however, may leave the batch
+// partially applied (whole stripes are written atomically, the batch as a
+// whole is not): applied reports how many points were handled (stored or
+// retention-dropped) so callers can account for the remainder exactly —
+// do not retry the batch.
+//
+// Each point resolves under its stripe lock to the ref for its series and
+// ordered field keys (created on first sight, see resolveLocked) and is
+// then applied exactly as WriteBatchRef applies it.
+func (db *DB) WriteBatch(pts []Point) (applied int, err error) {
+	if len(pts) == 0 {
+		return 0, nil
 	}
 	// Refuse closed before touching maxT or retention: a straggler write
 	// must not advance the horizon (and purge shards) on a DB that is
 	// being snapshotted for shutdown.
 	if db.closed.Load() {
-		return ErrClosedDB
-	}
-	sortTags(p.Tags)
-	if pr := db.persist; pr != nil {
-		// Hold commitMu.RLock from the WAL append through the in-memory
-		// apply: the checkpoint cut depends on no write being between the
-		// two when it rotates the log.
-		db.commitMu.RLock()
-		defer db.commitMu.RUnlock()
-		if db.closed.Load() {
-			return ErrClosedDB
-		}
-		if err := pr.logPoint(p); err != nil {
-			return err
-		}
-	}
-	sc := db.scratchPool.Get().(*writeScratch)
-	key := appendSeriesKey(sc.arena[:0], p.Name, p.Tags)
-	sc.arena = key
-	maxT := db.advanceMaxT(p.Time)
-	db.maybeSweepAll(maxT)
-	st := db.stripes[hashx.FNV1a32Bytes(key)&db.mask]
-	st.mu.Lock()
-	if db.closed.Load() {
-		st.mu.Unlock()
-		db.scratchPool.Put(sc)
-		return ErrClosedDB
-	}
-	db.writeLocked(st, p, key, maxT)
-	st.mu.Unlock()
-	db.scratchPool.Put(sc)
-	return nil
-}
-
-// WriteBatch stores all points, taking each involved stripe lock exactly
-// once — the sink-stage fast path that amortizes synchronization across a
-// whole burst. Tags are sorted in place. A point with no fields fails the
-// entire batch before anything is written. ErrClosedDB from a concurrent
-// Close, however, may leave the batch partially applied (whole stripes are
-// written atomically, the batch as a whole is not): applied reports how
-// many points were handled (stored or retention-dropped) so callers can
-// account for the remainder exactly — do not retry the batch.
-func (db *DB) WriteBatch(pts []Point) (applied int, err error) {
-	if len(pts) == 0 {
-		return 0, nil
-	}
-	if db.closed.Load() {
 		return 0, ErrClosedDB
 	}
-	sc := db.scratchPool.Get().(*writeScratch)
-	applied, err = db.writeBatchScratch(pts, sc)
-	db.scratchPool.Put(sc)
-	return applied, err
-}
-
-func (db *DB) writeBatchScratch(pts []Point, sc *writeScratch) (applied int, err error) {
-	// Per-batch series keys live back to back in one reusable arena,
-	// addressed by offsets (the arena may move as it grows); stripe ids are
-	// hashed straight off the arena bytes. Nothing here allocates once the
-	// scratch has warmed up.
-	arena := sc.arena[:0]
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	// The batch's series keys live back to back in one pooled arena,
+	// addressed by offsets; stripe ids are hashed straight off the arena
+	// bytes. Nothing here allocates once the scratch has warmed up.
+	keys := sc.keys[:0]
 	offs := append(sc.offs[:0], 0)
 	sids := sc.sids[:0]
 	batchMax := int64(math.MinInt64)
 	for i := range pts {
 		p := &pts[i]
-		if len(p.Fields) == 0 {
-			sc.arena, sc.offs, sc.sids = arena, offs, sids
-			return 0, ErrNoFields
+		if err := CheckFields(p.Fields); err != nil {
+			return 0, err
 		}
 		sortTags(p.Tags)
-		arena = appendSeriesKey(arena, p.Name, p.Tags)
-		sids = append(sids, hashx.FNV1a32Bytes(arena[offs[i]:])&db.mask)
-		offs = append(offs, len(arena))
-		if p.Time > batchMax {
-			batchMax = p.Time
-		}
+		keys = appendSeriesKey(keys, p.Name, p.Tags)
+		sids = append(sids, hashx.FNV1a32Bytes(keys[offs[i]:])&db.mask)
+		offs = append(offs, len(keys))
+		batchMax = max(batchMax, p.Time)
 	}
-	sc.arena, sc.offs, sc.sids = arena, offs, sids
+	sc.keys, sc.offs, sc.sids = keys, offs, sids
 	if pr := db.persist; pr != nil {
-		// One WAL record (and, under FsyncAlways, at most one group-
-		// committed fsync) for the whole batch — held through the apply,
-		// as in Write.
+		// Hold commitMu.RLock from the WAL append through the in-memory
+		// apply: the checkpoint cut depends on no write being between the
+		// two when it rotates the log. One record (and, under FsyncAlways,
+		// at most one group-committed fsync) for the whole batch.
 		db.commitMu.RLock()
 		defer db.commitMu.RUnlock()
 		if db.closed.Load() {
@@ -360,14 +310,7 @@ func (db *DB) writeBatchScratch(pts []Point, sc *writeScratch) (applied int, err
 	maxT := db.advanceMaxT(batchMax)
 	db.maybeSweepAll(maxT)
 	for s, st := range db.stripes {
-		touched := false
-		for _, sid := range sids {
-			if sid == uint32(s) {
-				touched = true
-				break
-			}
-		}
-		if !touched {
+		if !slices.Contains(sids, uint32(s)) {
 			continue
 		}
 		st.mu.Lock()
@@ -376,64 +319,22 @@ func (db *DB) writeBatchScratch(pts []Point, sc *writeScratch) (applied int, err
 			return applied, ErrClosedDB
 		}
 		for i := range pts {
-			if sids[i] == uint32(s) {
-				db.writeLocked(st, &pts[i], arena[offs[i]:offs[i+1]], maxT)
-				applied++
+			if sids[i] != uint32(s) {
+				continue
 			}
+			p := &pts[i]
+			rs := db.resolveLocked(st, p.Name, p.Tags, keys[offs[i]:offs[i+1]], p.Fields)
+			rp := RefPoint{Ref: rs.ref, Time: p.Time, Vals: sc.vals[:0]}
+			for _, f := range p.Fields {
+				rp.Vals = append(rp.Vals, f.Value)
+			}
+			sc.vals = rp.Vals
+			db.writeRefLocked(st, rs, &rp, maxT)
+			applied++
 		}
 		st.mu.Unlock()
 	}
 	return applied, nil
-}
-
-// writeLocked appends p to its series in st and feeds the rollup tiers.
-// Caller holds st.mu; key is the point's series key (scratch bytes, valid
-// only for this call). Raw and tier retention are independent: a point too
-// old for raw storage (counted in dropped) can still land in a coarse tier
-// whose longer horizon covers it.
-func (db *DB) writeLocked(st *stripe, p *Point, key []byte, maxT int64) {
-	if len(db.opts.Rollups) > 0 {
-		db.writeTiersLocked(st, p, key, maxT)
-	}
-	if db.opts.Retention > 0 && p.Time < maxT-db.opts.Retention {
-		db.dropped.Add(1)
-		db.enforceRetentionLocked(st, maxT)
-		db.noteBackfill(p.Time, maxT) // tiers may still have absorbed it
-		return
-	}
-	start := floorDiv(p.Time, db.opts.ShardDuration) * db.opts.ShardDuration
-	sh := db.shardAt(st, start)
-	sr, ok := sh.series[string(key)] // no-alloc map lookup
-	if !ok {
-		id := db.intern(p.Name, p.Tags, key)
-		sr = &series{name: id.name, tags: id.tags, ident: id}
-		sh.series[id.key] = sr
-		id.addRawShard(identShard{start: sh.start, end: sh.end, sr: sr})
-	}
-	sr.times = append(sr.times, p.Time)
-	for _, f := range p.Fields {
-		ci := sr.findCol(f.Key)
-		if ci < 0 {
-			sr.fkeys = append(sr.fkeys, f.Key)
-			sr.cols = append(sr.cols, nil)
-			ci = len(sr.cols) - 1
-		}
-		col := sr.cols[ci]
-		// Pad the column if this field was absent for earlier points.
-		for len(col) < len(sr.times)-1 {
-			col = append(col, nan)
-		}
-		sr.cols[ci] = append(col, f.Value)
-	}
-	// Pad any fields missing from this point.
-	for ci, col := range sr.cols {
-		if len(col) < len(sr.times) {
-			sr.cols[ci] = append(col, nan)
-		}
-	}
-	db.written.Add(1)
-	db.enforceRetentionLocked(st, maxT)
-	db.noteBackfill(p.Time, maxT)
 }
 
 // shardAt returns st's raw shard starting at start, creating it if absent.

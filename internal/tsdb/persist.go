@@ -274,7 +274,15 @@ func openPersist(db *DB, opts PersistOptions) error {
 	if err != nil {
 		return fail(err)
 	}
-	var p Point
+	// Each record is applied as the one WriteBatch that logged it, so
+	// retention sees the same batch-wide horizon it saw live. Decoded
+	// points are copied into reusable arenas: the decoder reuses p.
+	var (
+		p      Point
+		batch  []Point
+		tags   []Tag
+		fields []Field
+	)
 	for i, seg := range segs {
 		if seg < replayFrom {
 			continue // superseded by the checkpoint, awaiting truncation
@@ -284,6 +292,7 @@ func openPersist(db *DB, opts PersistOptions) error {
 		// dictionary at every rotation, so each segment is self-contained.
 		var dec walDecoder
 		apply := func(payload []byte) error {
+			batch, tags, fields = batch[:0], tags[:0], fields[:0]
 			for len(payload) > 0 {
 				rest, sample, err := dec.next(payload, &p)
 				if err != nil {
@@ -292,14 +301,23 @@ func openPersist(db *DB, opts PersistOptions) error {
 					return fmt.Errorf("%w: replay: %v", ErrWALCorrupt, err)
 				}
 				payload = rest
-				if !sample {
+				if !sample || CheckFields(p.Fields) != nil {
+					// Older versions logged points naming a field twice;
+					// they never applied correctly, so they are skipped.
 					continue
 				}
-				if err := db.Write(&p); err != nil {
-					return err
-				}
-				pr.replayedPoints.Add(1)
+				// A full-slice expression per point: an arena that moves
+				// leaves earlier points on its old, unchanged array.
+				nt, nf := len(tags), len(fields)
+				tags = append(tags, p.Tags...)
+				fields = append(fields, p.Fields...)
+				batch = append(batch, Point{Name: p.Name, Tags: tags[nt:len(tags):len(tags)],
+					Fields: fields[nf:len(fields):len(fields)], Time: p.Time})
 			}
+			if _, err := db.WriteBatch(batch); err != nil {
+				return err
+			}
+			pr.replayedPoints.Add(uint64(len(batch)))
 			return nil
 		}
 		records, err := replaySegment(filepath.Join(walDir, segName(seg)), final, apply)
@@ -375,12 +393,6 @@ func openPersist(db *DB, opts PersistOptions) error {
 		}()
 	}
 	return nil
-}
-
-// logPoint appends one committed Write's record to the WAL. Caller holds
-// db.commitMu.RLock; same error contract as logBatch.
-func (pr *persister) logPoint(p *Point) error {
-	return pr.wal.AppendPoint(p)
 }
 
 // close stops the background goroutines, seals the WAL and releases the

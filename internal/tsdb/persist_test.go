@@ -632,6 +632,54 @@ func TestPersistCheckpointPreservesRetentionSliver(t *testing.T) {
 	}
 }
 
+// TestPersistWALReplayKeepsBatchRetention: WAL replay applies each record
+// as the one WriteBatch that logged it. Replayed point by point, the older
+// point of a batch would be stored before the newer one advanced the
+// retention horizon past it, and the recovered DB would hold a point the
+// live one dropped.
+func TestPersistWALReplayKeepsBatchRetention(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{ShardDuration: 100e9, Retention: 10e9,
+		Persist: persistOpts(dir, FsyncAlways)}
+	db, err := OpenDB(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Point{
+		{Name: "latency", Fields: []Field{{Key: "total_ms", Value: 1}}, Time: 1e9},
+		{Name: "latency", Fields: []Field{{Key: "total_ms", Value: 2}}, Time: 50e9},
+	}
+	if n, err := db.WriteBatch(batch); n != 2 || err != nil {
+		t.Fatalf("WriteBatch: (%d, %v)", n, err)
+	}
+	q := Query{Measurement: "latency", Field: "total_ms", Start: 0, End: 100e9,
+		Aggs: []AggKind{AggCount, AggSum}, Resolution: ResolutionRaw}
+	live, err := db.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written, dropped := db.WriteStats(); written != 1 || dropped != 1 {
+		t.Fatalf("live: written=%d dropped=%d, want 1/1", written, dropped)
+	}
+	crashDB(db)
+
+	db2, err := OpenDB(opts)
+	if err != nil {
+		t.Fatalf("reopen after crash: %v", err)
+	}
+	defer db2.Close()
+	if written, dropped := db2.WriteStats(); written != 1 || dropped != 1 {
+		t.Fatalf("replayed: written=%d dropped=%d, want the live 1/1", written, dropped)
+	}
+	got, err := db2.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(live, got) {
+		t.Fatalf("replayed query differs from live:\nlive:     %+v\nreplayed: %+v", live, got)
+	}
+}
+
 // partialWriter passes writes through to the real file until failAfter
 // bytes, then fails forever — leaving a genuinely torn frame ON DISK, the
 // way a full disk does.

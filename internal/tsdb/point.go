@@ -53,6 +53,7 @@ type Point struct {
 var (
 	ErrBadLine    = errors.New("tsdb: malformed line protocol")
 	ErrNoFields   = errors.New("tsdb: point has no fields")
+	ErrDupField   = errors.New("tsdb: point names a field twice")
 	ErrClosedDB   = errors.New("tsdb: database closed")
 	ErrBadQuery   = errors.New("tsdb: malformed query")
 	ErrUnknownAgg = errors.New("tsdb: unknown aggregation")
@@ -66,16 +67,33 @@ var (
 	ErrBadRef = errors.New("tsdb: bad series ref")
 )
 
+// CheckFields reports whether a point's fields are writable: ErrNoFields
+// for none, ErrDupField when two share a key. WriteBatch fails a whole
+// batch on either, before writing anything.
+func CheckFields(fields []Field) error {
+	if len(fields) == 0 {
+		return ErrNoFields
+	}
+	for i := 1; i < len(fields); i++ {
+		for j := 0; j < i; j++ {
+			if fields[i].Key == fields[j].Key {
+				return ErrDupField
+			}
+		}
+	}
+	return nil
+}
+
 // seriesKey builds the canonical identity string: name,k1=v1,k2=v2 with
 // sorted tag keys.
 func seriesKey(name string, tags []Tag) string {
 	return string(appendSeriesKey(nil, name, tags))
 }
 
-// appendSeriesKey appends the canonical series identity to buf. The write
-// hot paths build keys into per-DB scratch arenas with this and hash/look
-// up the bytes directly, so steady-state writes never materialize a key
-// string.
+// appendSeriesKey appends the canonical series identity to buf. WriteBatch
+// builds a batch's keys into one pooled arena with this and hashes and
+// looks up the bytes directly, so steady-state writes never materialize a
+// key string.
 func appendSeriesKey(buf []byte, name string, tags []Tag) []byte {
 	buf = append(buf, name...)
 	for _, t := range tags {

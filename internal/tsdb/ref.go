@@ -1,16 +1,20 @@
 package tsdb
 
-// Interned series handles: the zero-allocation write path.
+// Interned series handles: the one write path.
 //
-// The legacy Write/WriteBatch path pays a per-point identity cost — build
-// the series key, sort tags, hash, two map hops for the series, one map hop
-// per field, plus the same again per rollup tier. All of it re-derives
-// facts that never change for a given series. Ref interns that identity
-// once: the caller exchanges (name, tags, fields) for a small integer
-// SeriesRef whose refState caches the resolved series pointer, per-field
-// column indices and per-tier column pointers, so the steady-state cost of
-// WriteBatchRef is a handful of bounds checks and column appends — zero
-// heap allocations.
+// Every write is applied through a ref. A ref interns a series identity
+// plus an ordered field list once: its refState caches the resolved
+// series pointer, per-field column indices and per-tier column pointers,
+// so applying a point (writeRefLocked) is a handful of bounds checks and
+// column appends — zero heap allocations in steady state. Callers that
+// write one shape over and over (the sink) exchange (name, tags, fields)
+// for a small integer SeriesRef with Ref and call WriteBatchRef, skipping
+// resolution altogether. WriteBatch resolves each Point to its ref under
+// the stripe lock it already takes: one map probe on the series key it
+// builds to pick the stripe, then a comparison of the point's field keys
+// against that series' few refs. Refs are created on first sight by the
+// same resolver Ref uses, so both entry points share one refState per
+// (series, field list).
 //
 // The series directory is published copy-on-write behind an atomic.Pointer
 // (the userspace-RCU idiom): writers append under db.dirMu and then store a
@@ -21,14 +25,16 @@ package tsdb
 // owning stripe's lock, so queries can discover where a series lives
 // without contending with ingest stripe locks.
 //
-// Lock order: commitMu → stripe mu → dirMu. Ref/intern may take dirMu
-// alone; nothing takes a stripe lock while holding dirMu.
+// Lock order: commitMu → stripe mu → dirMu. New idents and refs are
+// published under dirMu while their stripe lock is held; nothing takes a
+// stripe lock while holding dirMu.
 
 import (
-	"encoding/binary"
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"ruru/internal/hashx"
 )
 
 // SeriesRef is an interned series handle issued by DB.Ref. Refs are only
@@ -38,7 +44,7 @@ type SeriesRef uint32
 // RefPoint is one datum addressed by a SeriesRef: Vals[i] is the value of
 // the ref's i-th field key (as passed to Ref). A NaN value means the field
 // is absent for this point — identical to writing a NaN field value through
-// the legacy path.
+// WriteBatch.
 type RefPoint struct {
 	Ref  SeriesRef
 	Time int64
@@ -65,6 +71,9 @@ type seriesIdent struct {
 	name      string
 	tags      []Tag // sorted; owned by the ident, aliased everywhere else
 	stripeIdx uint32
+	// refs lists the series' refs, one per distinct ordered field list
+	// written to it. Guarded by the owning stripe's lock.
+	refs []*refState
 
 	raw   atomic.Pointer[[]identShard]
 	tiers []atomic.Pointer[[]identTierShard] // one per Options.Rollups entry
@@ -149,19 +158,21 @@ func (id *seriesIdent) dropTierShard(ti int, start int64) {
 
 // refState is the per-ref write cache: the resolved field set plus hot
 // pointers into the current shard. hot is guarded by the ident's stripe
-// lock (WriteBatchRef only touches it with that lock held).
+// lock (the write paths only touch it with that lock held).
 type refState struct {
 	ident     *seriesIdent
 	fieldKeys []string
 	hot       refHot
+	ref       SeriesRef // this ref's index in the directory
 }
 
 // refHot caches the resolution of a ref against one raw shard and the
 // matching tier shards: the series pointer, each field's column index, and
 // each tier's column pointers. ncols snapshots len(sr.cols) at resolve
-// time so a legacy write adding a column to the same series forces a
-// re-resolve (mixed mode pads the foreign columns with NaN, exactly as the
-// legacy path pads columns missing from a point).
+// time so another ref of the same series adding a column forces a
+// re-resolve. A series written under several field lists is mixed: each
+// write pads the columns its ref does not carry with NaN, so every column
+// stays aligned with times.
 type refHot struct {
 	shardStart int64
 	sr         *series
@@ -173,16 +184,11 @@ type refHot struct {
 
 // refTierHot caches one tier's resolution: the tier series and one column
 // pointer per ref field (nil until the field's first non-NaN value, so a
-// never-written field creates no tier column — mirroring the legacy path).
+// never-written field creates no tier column).
 type refTierHot struct {
 	shardStart int64
 	ts         *tierSeries
 	cols       []*tierColumn
-}
-
-// loadDir returns the current directory snapshot (never nil).
-func (db *DB) loadDir() *seriesDir {
-	return db.dir.Load()
 }
 
 // publishDirLocked publishes the current backing arrays as a fresh
@@ -191,84 +197,86 @@ func (db *DB) publishDirLocked() {
 	db.dir.Store(&seriesDir{idents: db.identsBuf, refs: db.refsBuf})
 }
 
-// internLocked returns the ident for key, creating and publishing it if
-// new. Caller holds dirMu. tags must be sorted; they are copied.
-func (db *DB) internLocked(name string, tags []Tag, key []byte) *seriesIdent {
-	if id, ok := db.byKey[string(key)]; ok {
-		return id
+// resolveLocked returns the ref for a series key plus ordered field keys,
+// interning the series and creating the ref on first sight. Caller holds
+// st.mu, where st is key's stripe; publishing a new ident or ref takes
+// dirMu beneath it. tags must be sorted; fields must pass CheckFields.
+// Steady state is one map probe and a field-key comparison per ref of the
+// series, with no allocation.
+func (db *DB) resolveLocked(st *stripe, name string, tags []Tag, key []byte, fields []Field) *refState {
+	id := st.idents[string(key)]
+	if id == nil {
+		id = &seriesIdent{
+			key:   string(key),
+			name:  name,
+			tags:  append([]Tag(nil), tags...),
+			tiers: make([]atomic.Pointer[[]identTierShard], len(db.opts.Rollups)),
+		}
+		id.stripeIdx = stripeIndex(id.key) & db.mask
+		st.idents[id.key] = id
+		db.dirMu.Lock()
+		db.identsBuf = append(db.identsBuf, id)
+		db.publishDirLocked()
+		db.dirMu.Unlock()
 	}
-	id := &seriesIdent{
-		key:   string(key),
-		name:  name,
-		tags:  append([]Tag(nil), tags...),
-		tiers: make([]atomic.Pointer[[]identTierShard], len(db.opts.Rollups)),
-	}
-	id.stripeIdx = stripeIndex(id.key) & db.mask
-	db.byKey[id.key] = id
-	db.identsBuf = append(db.identsBuf, id)
-	db.publishDirLocked()
-	return id
-}
-
-// intern is internLocked behind dirMu, for callers holding a stripe lock
-// (lock order stripe → dirMu). Only reached when a write creates a series
-// whose identity has never been seen — never on the steady-state path.
-func (db *DB) intern(name string, tags []Tag, key []byte) *seriesIdent {
-	db.dirMu.Lock()
-	id := db.internLocked(name, tags, key)
-	db.dirMu.Unlock()
-	return id
-}
-
-// Ref interns a series identity plus an ordered field set and returns a
-// reusable handle for WriteBatchRef. Tags are copied and sorted; fields
-// must be non-empty and distinct. Calling Ref again with the same
-// (name, tags, fields) returns the same handle. Refs are cheap to hold
-// and never invalidated for the life of the DB.
-func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) {
-	if db.closed.Load() {
-		return 0, ErrClosedDB
-	}
-	if len(fields) == 0 {
-		return 0, ErrNoFields
-	}
-	for i := range fields {
-		for j := i + 1; j < len(fields); j++ {
-			if fields[i] == fields[j] {
-				return 0, ErrBadRef
+next:
+	for _, rs := range id.refs {
+		if len(rs.fieldKeys) != len(fields) {
+			continue
+		}
+		for i, k := range rs.fieldKeys {
+			if fields[i].Key != k {
+				continue next
 			}
 		}
+		return rs
 	}
-	sorted := append([]Tag(nil), tags...)
-	sortTags(sorted)
-	key := appendSeriesKey(nil, name, sorted)
-	// Ref identity = series key + ordered field keys, length-prefixed so
-	// the encoding is unambiguous.
-	rk := make([]byte, 0, len(key)+16)
-	rk = binary.AppendUvarint(rk, uint64(len(key)))
-	rk = append(rk, key...)
-	for _, f := range fields {
-		rk = binary.AppendUvarint(rk, uint64(len(f)))
-		rk = append(rk, f...)
+	rs := &refState{ident: id, fieldKeys: make([]string, len(fields))}
+	for i, f := range fields {
+		rs.fieldKeys[i] = f.Key
 	}
-
-	db.dirMu.Lock()
-	defer db.dirMu.Unlock()
-	if r, ok := db.refByKey[string(rk)]; ok {
-		return r, nil
-	}
-	id := db.internLocked(name, sorted, key)
-	rs := &refState{ident: id, fieldKeys: append([]string(nil), fields...)}
 	rs.hot.colIdx = make([]int32, len(fields))
 	rs.hot.tiers = make([]refTierHot, len(db.opts.Rollups))
 	for ti := range rs.hot.tiers {
 		rs.hot.tiers[ti].cols = make([]*tierColumn, len(fields))
 	}
-	r := SeriesRef(len(db.refsBuf))
+	id.refs = append(id.refs, rs)
+	db.dirMu.Lock()
+	rs.ref = SeriesRef(len(db.refsBuf))
 	db.refsBuf = append(db.refsBuf, rs)
-	db.refByKey[string(rk)] = r
 	db.publishDirLocked()
-	return r, nil
+	db.dirMu.Unlock()
+	return rs
+}
+
+// Ref interns a series identity plus an ordered field set and returns a
+// reusable handle for WriteBatchRef. Tags are copied and sorted; fields
+// must be non-empty and distinct. Calling Ref again with the same
+// (name, tags, fields) returns the same handle, and so does the first
+// WriteBatch of a point with that shape. Refs are cheap to hold and never
+// invalidated for the life of the DB.
+func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) {
+	if db.closed.Load() {
+		return 0, ErrClosedDB
+	}
+	fs := make([]Field, len(fields))
+	for i, k := range fields {
+		fs[i].Key = k
+	}
+	switch err := CheckFields(fs); err {
+	case nil:
+	case ErrDupField:
+		return 0, ErrBadRef
+	default:
+		return 0, err
+	}
+	sorted := append([]Tag(nil), tags...)
+	sortTags(sorted)
+	key := appendSeriesKey(nil, name, sorted)
+	st := db.stripes[hashx.FNV1a32Bytes(key)&db.mask]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return db.resolveLocked(st, name, sorted, key, fs).ref, nil
 }
 
 // WriteBatchRef stores all points through their interned handles — the
@@ -278,9 +286,9 @@ func (db *DB) Ref(name string, tags []Tag, fields ...string) (SeriesRef, error) 
 // wire/durability formats are unchanged), and the same partial-apply
 // contract under a concurrent Close. A NaN in Vals writes a NaN field
 // value (the point still lands; queries skip the NaN), bit-identical to
-// the legacy path. Fails with ErrBadRef before writing anything if any
-// point carries an unknown ref or a Vals length that does not match the
-// ref's field set.
+// WriteBatch of the same point. Fails with ErrBadRef before writing
+// anything if any point carries an unknown ref or a Vals length that does
+// not match the ref's field set.
 //
 // Steady state (in-memory DB, warm columns) must not allocate; the noalloc
 // analyzer enforces the construct-level discipline and BenchmarkWriteRef
@@ -350,10 +358,10 @@ func (db *DB) WriteBatchRef(pts []RefPoint) (applied int, err error) {
 	return applied, nil
 }
 
-// writeRefLocked is writeLocked for the ref path: identical ordering
-// contract (tiers first — they accept points behind the raw horizon — then
-// raw retention, then append, then retention enforcement). Caller holds
-// st.mu.
+// writeRefLocked applies one point through its ref: every write path ends
+// here. Tiers go first (a point behind the raw horizon can still land in a
+// coarse tier whose longer horizon covers it), then raw retention, then
+// the append, then retention enforcement. Caller holds st.mu.
 //
 //ruru:noalloc
 func (db *DB) writeRefLocked(st *stripe, rs *refState, p *RefPoint, maxT int64) {
@@ -378,8 +386,8 @@ func (db *DB) writeRefLocked(st *stripe, rs *refState, p *RefPoint, maxT int64) 
 		sr.cols[ci] = append(sr.cols[ci], v)
 	}
 	if h.mixed {
-		// Legacy writes added columns this ref does not carry: pad them so
-		// every column stays aligned with times.
+		// Other refs of this series added columns this ref does not
+		// carry: pad them so every column stays aligned with times.
 		for ci := range sr.cols {
 			if len(sr.cols[ci]) < len(sr.times) {
 				sr.cols[ci] = append(sr.cols[ci], nan)
@@ -417,8 +425,8 @@ func (db *DB) resolveRefRaw(st *stripe, rs *refState, start int64) *series {
 	return sr
 }
 
-// writeRefTiersLocked is writeTiersLocked for the ref path. Caller holds
-// st.mu.
+// writeRefTiersLocked folds one point into every tier whose retention
+// still covers it. Caller holds st.mu.
 //
 //ruru:noalloc
 func (db *DB) writeRefTiersLocked(st *stripe, rs *refState, p *RefPoint, maxT int64) {
@@ -493,21 +501,28 @@ func (db *DB) resolveRefTier(st *stripe, rs *refState, ti int, shStart int64) {
 	}
 }
 
-// refLogScratch is pooled scratch for materializing a ref batch into full
-// WAL points.
-type refLogScratch struct {
+// batchScratch is pooled per-call scratch for the batch write paths.
+// WriteBatch uses keys (the batch's series keys, back to back), offs
+// (per-point offsets into keys), sids (per-point stripe ids) and vals (one
+// point's values); logRefBatch uses pts and fields to materialize a ref
+// batch into full WAL points.
+type batchScratch struct {
+	keys   []byte
+	offs   []int
+	sids   []uint32
+	vals   []float64
 	pts    []Point
 	fields []Field
 }
 
-var refLogPool = sync.Pool{New: func() any { return &refLogScratch{} }}
+var batchPool = sync.Pool{New: func() any { return &batchScratch{} }}
 
 // logRefBatch WAL-logs a ref batch as full self-describing points. Tags
 // alias the idents' owned slices and field headers point into one arena —
 // safe because the WAL encoder copies everything into its own buffers
 // before logBatch returns.
 func (db *DB) logRefBatch(pr *persister, refs []*refState, pts []RefPoint) error {
-	sc := refLogPool.Get().(*refLogScratch)
+	sc := batchPool.Get().(*batchScratch)
 	total := 0
 	for i := range pts {
 		total += len(refs[pts[i].Ref].fieldKeys)
@@ -535,6 +550,6 @@ func (db *DB) logRefBatch(pr *persister, refs []*refState, pts []RefPoint) error
 	}
 	err := pr.logBatch(out)
 	sc.pts, sc.fields = out[:0], fields[:0]
-	refLogPool.Put(sc)
+	batchPool.Put(sc)
 	return err
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -123,12 +124,12 @@ func TestWriteBatchRefZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestWriteBatchLegacyAllocBudget documents the legacy path's allocation
-// budget after the scratch-pool fix: with warm scratch, existing series and
-// sorted tags, WriteBatch itself allocates nothing per batch (slice growth
-// excluded via pre-grow). The legacy path still pays per-point hashing and
-// map/sort work — only the ref path caches resolution — but it must not
-// regress back to per-call key/scratch allocations.
+// TestWriteBatchLegacyAllocBudget pins WriteBatch's allocation budget:
+// with warm scratch, an existing series and ref, and sorted tags,
+// WriteBatch itself allocates nothing per batch (slice growth excluded via
+// pre-grow). It still pays per-point key building, hashing and the ref
+// probe — only WriteBatchRef skips resolution — but it must not regress
+// back to per-call key/scratch allocations.
 func TestWriteBatchLegacyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race-detector instrumentation")
@@ -210,7 +211,8 @@ type refSeriesShape struct {
 }
 
 // writeShapesEverywhere writes identical random data into legacy (via
-// Write/WriteBatch) and refDB (via WriteBatchRef) and returns the shapes.
+// WriteBatch, resolving refs per point) and refDB (via WriteBatchRef with
+// handles from Ref) and returns the shapes.
 func writeShapesEverywhere(t *testing.T, rng *rand.Rand, legacy, refDB *DB, nPoints int) []refSeriesShape {
 	t.Helper()
 	cities := []string{"Auckland", "Wellington", "Sydney", "Tokyo"}
@@ -321,7 +323,7 @@ func compareDBs(t *testing.T, legacy, refDB *DB, field string) {
 }
 
 // TestRefLegacyEquivalenceRandomized drives identical randomized writes
-// through the legacy and the interned-ref paths and asserts bit-identical
+// through WriteBatch and through Ref+WriteBatchRef and asserts bit-identical
 // query results — raw and tier-served — plus identical stats and tag
 // indexes.
 func TestRefLegacyEquivalenceRandomized(t *testing.T) {
@@ -346,10 +348,10 @@ func TestRefLegacyEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestRefMixedWithLegacyWrites interleaves ref writes with legacy writes
-// that extend the same series with a new field, forcing the ref hot cache
-// to re-resolve and pad foreign columns — and checks against a pure-legacy
-// mirror of the same sequence.
+// TestRefMixedWithLegacyWrites interleaves WriteBatchRef writes with Write
+// calls that extend the same series with a new field, forcing the ref hot
+// cache to re-resolve and pad foreign columns — and checks against a
+// mirror fed the same sequence through Write alone.
 func TestRefMixedWithLegacyWrites(t *testing.T) {
 	opts := Options{ShardDuration: 10e9, Rollups: []RollupTier{{Width: 1e9}}}
 	legacy := Open(opts)
@@ -400,7 +402,7 @@ func TestRefMixedWithLegacyWrites(t *testing.T) {
 // TestRefWALCrashRestoreEquivalence writes through the ref path into a
 // persistent DB, simulates a crash, reopens, and asserts the recovered
 // state answers identically to an in-memory DB fed the same data through
-// the legacy path — the WAL's self-describing record format makes the
+// WriteBatch — the WAL's self-describing record format makes the
 // write path invisible to durability.
 func TestRefWALCrashRestoreEquivalence(t *testing.T) {
 	dir := t.TempDir()
@@ -450,6 +452,84 @@ func TestRefWALCrashRestoreEquivalence(t *testing.T) {
 				t.Fatalf("field %s resolution %d differs after crash restore:\nmirror: %+v\nrestored: %+v",
 					f, resolution, a, b)
 			}
+		}
+	}
+}
+
+// TestConcurrentResolveSharesRefs races WriteBatch resolution against
+// Ref+WriteBatchRef on the same series and field lists: every shape must
+// end up with exactly one ident and one ref, however it first arrived,
+// and every point must be stored.
+func TestConcurrentResolveSharesRefs(t *testing.T) {
+	db := Open(Options{ShardDuration: 1e9, Stripes: 4, Rollups: []RollupTier{{Width: 1e9}}})
+	defer db.Close()
+	cities := []string{"Auckland", "Sydney", "Tokyo", "Wellington"}
+	fieldLists := [][]string{{"total_ms"}, {"total_ms", "internal_ms"}}
+	const workers, batches = 4, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < batches; n++ {
+				tm := int64(n) * 1e7
+				if w%2 == 0 {
+					var batch []Point
+					for _, c := range cities {
+						for _, fl := range fieldLists {
+							p := Point{Name: "latency", Tags: []Tag{{Key: "src_city", Value: c}}, Time: tm}
+							for _, k := range fl {
+								p.Fields = append(p.Fields, Field{Key: k, Value: 1})
+							}
+							batch = append(batch, p)
+						}
+					}
+					if _, err := db.WriteBatch(batch); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				var batch []RefPoint
+				for _, c := range cities {
+					for _, fl := range fieldLists {
+						ref, err := db.Ref("latency", []Tag{{Key: "src_city", Value: c}}, fl...)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						vals := make([]float64, len(fl))
+						for i := range vals {
+							vals[i] = 1
+						}
+						batch = append(batch, RefPoint{Ref: ref, Time: tm, Vals: vals})
+					}
+				}
+				if _, err := db.WriteBatchRef(batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	d := db.dir.Load()
+	if len(d.idents) != len(cities) || len(d.refs) != len(cities)*len(fieldLists) {
+		t.Fatalf("directory holds %d idents and %d refs, want %d and %d",
+			len(d.idents), len(d.refs), len(cities), len(cities)*len(fieldLists))
+	}
+	perField := workers * batches * len(cities)
+	if w, _ := db.WriteStats(); w != uint64(perField*len(fieldLists)) {
+		t.Fatalf("written = %d, want %d", w, perField*len(fieldLists))
+	}
+	for f, want := range map[string]int{"total_ms": perField * 2, "internal_ms": perField} {
+		res, err := db.Execute(Query{Measurement: "latency", Field: f, Start: 0, End: 10e9,
+			Aggs: []AggKind{AggCount}, Resolution: ResolutionRaw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res[0].Buckets[0].Count; got != want {
+			t.Fatalf("%s count = %d, want %d", f, got, want)
 		}
 	}
 }

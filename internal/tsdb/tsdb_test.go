@@ -327,6 +327,29 @@ func TestWriteValidation(t *testing.T) {
 	if err := db.Write(&Point{Name: "m", Time: 1}); err != ErrNoFields {
 		t.Fatalf("err = %v", err)
 	}
+	// A field named twice fails the whole batch before anything is
+	// written, so it cannot misalign the series' columns.
+	if err := db.WriteLine("m,a=b f=1,f=2 1000"); err != ErrDupField {
+		t.Fatalf("duplicate field: err = %v, want ErrDupField", err)
+	}
+	dup := []Point{
+		{Name: "m", Tags: []Tag{{Key: "a", Value: "b"}}, Fields: []Field{{Key: "f", Value: 9}}, Time: 1500},
+		{Name: "m", Tags: []Tag{{Key: "a", Value: "b"}}, Fields: []Field{{Key: "f", Value: 1}, {Key: "f", Value: 2}}, Time: 1600},
+	}
+	if n, err := db.WriteBatch(dup); n != 0 || err != ErrDupField {
+		t.Fatalf("batch with a duplicate field: (%d, %v), want (0, ErrDupField)", n, err)
+	}
+	if err := db.WriteLine("m,a=b f=3 2000"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Execute(Query{Measurement: "m", Field: "f", Start: 0, End: 1e4,
+		Aggs: []AggKind{AggCount, AggSum}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := res[0].Buckets[0]; b.Count != 1 || b.Aggs[AggSum] != 3 {
+		t.Fatalf("after a rejected duplicate field: count %d sum %v, want 1 and 3", b.Count, b.Aggs[AggSum])
+	}
 	db.Close()
 	if err := db.Write(pt("m", 1, nil, map[string]float64{"v": 1})); err != ErrClosedDB {
 		t.Fatalf("err = %v", err)

@@ -550,13 +550,6 @@ func (w *wal) AppendPoints(pts []Point) error {
 	})
 }
 
-// AppendPoint logs one committed Write as a single record.
-func (w *wal) AppendPoint(p *Point) error {
-	return w.appendRecord(func(buf []byte) []byte {
-		return w.encodeOneLocked(buf, p)
-	})
-}
-
 // syncTo makes every record up to at least lsn durable. Concurrent callers
 // group-commit: whoever wins syncMu flushes and fsyncs everything appended
 // so far, and the rest observe syncedLSN and return without a syscall.
