@@ -1,0 +1,7 @@
+//go:build !race
+
+package analytics
+
+// raceEnabled reports whether the race detector is active; allocation-count
+// tests skip under -race because its instrumentation allocates.
+const raceEnabled = false

@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,6 +34,7 @@ import (
 	"ruru/internal/ruru"
 	"ruru/internal/sketch"
 	"ruru/internal/tsdb"
+	"ruru/internal/web"
 	"ruru/internal/ws"
 )
 
@@ -66,8 +68,8 @@ type Spec struct {
 
 // Specs returns the trajectory suite: one entry per pipeline hot path —
 // ingest hand-off, packet processing, sink drain, the spike detector, DB
-// writes (by Point and by interned ref), WAL-logged writes, and tier-served
-// queries.
+// writes (by Point and by interned ref), WAL-logged writes, tier-served
+// queries, and the JSON encoders behind /api/query and the live /ws feed.
 func Specs() []Spec {
 	return []Spec{
 		{Name: "ingest/burst", F: benchIngestBurst},
@@ -82,6 +84,8 @@ func Specs() []Spec {
 		{Name: "wal/write-interval", F: benchWALWrite},
 		{Name: "query/rollup", F: benchRollupQuery},
 		{Name: "query/cached", F: benchCachedQuery},
+		{Name: "web/query-panel", F: benchQueryPanel},
+		{Name: "sink/live-frame", F: benchLiveFrame},
 		{Name: "ws/delta-broadcast", F: benchDeltaBroadcast},
 		{Name: "sketch/update", F: benchSketchUpdate},
 		{Name: "sketch/topk", F: benchSketchTopK},
@@ -628,6 +632,99 @@ func benchCachedQuery(b *testing.B) {
 		}
 	}
 }
+
+// worldEnriched returns n enriched measurements between w's cities,
+// shaped like the sink's live traffic; measurement i starts in city
+// i % len(w.Cities).
+func worldEnriched(w *geo.World, n int) []analytics.Enriched {
+	endpoint := func(c *geo.City) analytics.Endpoint {
+		return analytics.Endpoint{CountryCode: c.CountryCode, Country: c.Country,
+			City: c.Name, Lat: c.Lat, Lon: c.Lon, ASN: c.ASNs[0], ASName: fmt.Sprintf("AS-%s-0", c.Name)}
+	}
+	es := make([]analytics.Enriched, n)
+	for i := range es {
+		src, dst := &w.Cities[i%len(w.Cities)], &w.Cities[(i/len(w.Cities))%len(w.Cities)]
+		es[i] = analytics.Enriched{
+			Time: int64(i) * 1e9, InternalNs: int64(15e6 + i*1e3), ExternalNs: int64(130e6 + i*7e3),
+			TotalNs: int64(145e6 + i*8e3), Src: endpoint(src), Dst: endpoint(dst),
+		}
+	}
+	return es
+}
+
+// benchQueryPanel: the /api/query handler answering the live dashboard's
+// panel — 1 h at 10 s grouped by src_city, 8 groups × 360 buckets of
+// count/mean/p95 — from the query cache, so the op is parameter parsing,
+// the cache hit and the response encoding.
+func benchQueryPanel(b *testing.B) {
+	w, err := geo.NewWorld(geo.WorldOptions{Seed: 1, Cities: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := ruru.New(ruru.Config{GeoDB: w.DB(), Rollups: tsdb.DefaultRollups(), QueryCacheBytes: 16 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := p.Close(); err != nil {
+			b.Error(err)
+		}
+	}()
+	// One point per city per second for an hour.
+	es := worldEnriched(w, len(w.Cities))
+	pts := make([]tsdb.Point, 0, 3600*len(es))
+	for sec := int64(0); sec < 3600; sec++ {
+		for i := range es {
+			es[i].Time = sec * 1e9
+			pts = append(pts, analytics.LatencyPoint(&es[i]))
+		}
+	}
+	if _, err := p.DB.WriteBatch(pts); err != nil {
+		b.Fatal(err)
+	}
+	srv := web.NewServer(p)
+	req := httptest.NewRequest("GET",
+		"/api/query?start=0&end=3600e9&window=10e9&group_by=src_city&agg=count,mean,p95", nil)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != 200 || strings.Count(rec.Body.String(), `"start"`) != 8*360 {
+		b.Fatalf("panel query: status %d, %d buckets", rec.Code, strings.Count(rec.Body.String(), `"start"`))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Body.Reset()
+		srv.ServeHTTP(rec, req)
+	}
+}
+
+// benchLiveFrame: the live /ws frame a sink worker builds per burst — one
+// 64-measurement JSON array appended into warm scratch, plus the one copy
+// the Hub keeps.
+func benchLiveFrame(b *testing.B) {
+	w, err := geo.NewWorld(geo.WorldOptions{Seed: 1, Cities: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	es := worldEnriched(w, 64)
+	var scratch []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scratch = append(scratch[:0], '[')
+		for j := range es {
+			if j > 0 {
+				scratch = append(scratch, ',')
+			}
+			scratch = analytics.AppendEnrichedJSON(scratch, &es[j])
+		}
+		scratch = append(scratch, ']')
+		liveFrameSink = bytes.Clone(scratch)
+	}
+}
+
+// liveFrameSink keeps benchLiveFrame's copy observable.
+var liveFrameSink []byte
 
 // benchDeltaBroadcast: the rollup-stream read side — fold a 64-measurement
 // burst over 16 city pairs into the delta accumulator, coalesce it into one

@@ -4,7 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -550,6 +552,47 @@ func TestEngineEndToEnd(t *testing.T) {
 	}
 	if pool.Available() != pool.Size() {
 		t.Fatalf("buffer leak: %d/%d", pool.Available(), pool.Size())
+	}
+}
+
+func TestEngineCancelWhileParked(t *testing.T) {
+	// An idle worker parks instead of polling; cancelling Run while it is
+	// parked must return promptly and still process what was enqueued.
+	pool := nic.NewMempool(64, 2048)
+	port, err := nic.NewPort(nic.PortConfig{Queues: 1, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var completed atomic.Int64
+	eng, err := NewEngine(EngineConfig{Port: port, Table: TableConfig{Capacity: 64},
+		Sink: SinkFunc(func(*Measurement) { completed.Add(1) })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- eng.Run(ctx) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for port.Parked(0) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("idle worker never parked")
+		}
+		runtime.Gosched()
+	}
+	src := "10.0.0.1"
+	port.InjectBurst([]nic.Frame{
+		{Data: buildFrame(t, src, "192.0.2.1", 1024, 443, pkt.TCPSyn, 100, 0), TS: 1e6},
+		{Data: buildFrame(t, "192.0.2.1", src, 443, 1024, pkt.TCPSyn|pkt.TCPAck, 500, 101), TS: 31e6},
+		{Data: buildFrame(t, src, "192.0.2.1", 1024, 443, pkt.TCPAck, 101, 501), TS: 46e6},
+	})
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Run did not return after cancel")
+	}
+	if n := completed.Load(); n != 1 || port.QueueLen(0) != 0 {
+		t.Fatalf("after cancel: %d measurements, depth %d; want 1, 0", n, port.QueueLen(0))
 	}
 }
 

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
-	"time"
 
 	"ruru/internal/nic"
 	"ruru/internal/pkt"
@@ -46,59 +44,12 @@ type SeqSink interface {
 	EmitLoss(ev *LossEvent)
 }
 
-// PollConfig tunes the adaptive idle ladder a worker descends when polls
-// come back empty: busy-spin first (a hot queue usually refills within
-// nanoseconds), then cooperative yields, then exponentially growing sleeps.
-// Any amount of traffic resets the ladder, so a loaded worker is always in
-// the spin regime — the DPDK busy-poll behaviour — while an idle worker
-// costs roughly nothing. A fixed idle sleep cannot do both: its wake-up
-// latency lets queues overflow during injection bursts.
-type PollConfig struct {
-	// Spin is the number of consecutive empty polls served by pure
-	// busy-spinning before the worker starts yielding (default 64).
-	Spin int
-	// Yield is the number of runtime.Gosched rounds after spinning and
-	// before sleeping (default 16).
-	Yield int
-	// SleepMin is the first sleep after the yield phase (default 1µs).
-	SleepMin time.Duration
-	// SleepMax caps the exponential sleep growth (default 100µs).
-	SleepMax time.Duration
-}
-
-func (c *PollConfig) setDefaults() {
-	if c.Spin <= 0 {
-		c.Spin = 64
-	}
-	if c.Yield <= 0 {
-		c.Yield = 16
-	}
-	if c.SleepMin <= 0 {
-		c.SleepMin = time.Microsecond
-	}
-	if c.SleepMax <= 0 {
-		c.SleepMax = 100 * time.Microsecond
-	}
-	if c.SleepMax < c.SleepMin {
-		c.SleepMax = c.SleepMin
-	}
-}
-
-// idleWait advances the ladder by one empty poll.
-func (c *PollConfig) idleWait(idle int) {
-	switch {
-	case idle <= c.Spin:
-		// busy-spin: retry immediately
-	case idle <= c.Spin+c.Yield:
-		runtime.Gosched()
-	default:
-		d := c.SleepMin << uint(min(idle-c.Spin-c.Yield-1, 16))
-		if d > c.SleepMax || d <= 0 {
-			d = c.SleepMax
-		}
-		time.Sleep(d)
-	}
-}
+// idleSpin is how many consecutive empty polls a worker busy-spins before
+// it parks until injection wakes it. A hot queue refills within
+// nanoseconds, so a loaded worker never leaves the spin — the DPDK
+// busy-poll behaviour — while an idle worker costs nothing and wakes one
+// scheduler hop after the next push.
+const idleSpin = 64
 
 // EngineConfig configures an Engine.
 type EngineConfig struct {
@@ -111,8 +62,6 @@ type EngineConfig struct {
 	Table TableConfig
 	// Burst is the RxBurst size (default 64, DPDK's conventional burst).
 	Burst int
-	// Poll tunes the adaptive idle ladder (zero values get defaults).
-	Poll PollConfig
 
 	// TSSink, when non-nil, enables continuous RTT tracking from TCP
 	// timestamp echoes (a per-queue TSTracker beside each handshake
@@ -174,7 +123,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Burst <= 0 {
 		cfg.Burst = 64
 	}
-	cfg.Poll.setDefaults()
 	e := &Engine{cfg: cfg, snaps: make([]statsCell, cfg.Port.NumQueues())}
 	for q := 0; q < cfg.Port.NumQueues(); q++ {
 		tc := cfg.Table
@@ -338,6 +286,7 @@ func (e *Engine) runQueue(ctx context.Context, q int) {
 		seqTrk  *SeqTracker
 		adm     Admitter
 		bufs    = make([]*nic.Buf, e.cfg.Burst)
+		parker  = e.cfg.Port.NewParker(q)
 	)
 	if e.admits != nil {
 		adm = e.admits[q]
@@ -440,7 +389,10 @@ func (e *Engine) runQueue(ctx context.Context, q int) {
 			}
 		default:
 			idle++
-			e.cfg.Poll.idleWait(idle)
+			if idle >= idleSpin {
+				parker.Park(ctx)
+				idle = 0
+			}
 		}
 	}
 }

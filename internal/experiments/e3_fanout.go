@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -61,10 +60,7 @@ func E3(cfg E3Config, w io.Writer) ([]E3Row, error) {
 		Dst: analytics.Endpoint{CountryCode: "US", Country: "United States", City: "Los Angeles",
 			Lat: 34.05, Lon: -118.24, ASN: 64004, ASName: "AS-LosAngeles-0"},
 	}
-	payload, err := json.Marshal(&e)
-	if err != nil {
-		return nil, err
-	}
+	payload := analytics.AppendEnrichedJSON(nil, &e)
 
 	if w != nil {
 		fmt.Fprintf(w, "E3: WebSocket live-map fan-out (%dB JSON frames; paced phase at %.0f msg/s)\n",

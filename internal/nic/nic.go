@@ -14,7 +14,8 @@
 // with Port.Inject/InjectBurst, which classify them onto a queue by Toeplitz
 // hash of the 4-tuple — bit-exact with what NIC hardware RSS would do — and
 // hand the buffer to that queue's ring. Worker cores poll their queue with
-// RxBurst and return buffers to the pool when done.
+// RxBurst and return buffers to the pool when done; a worker whose queue
+// stays empty parks on a Parker and the next push onto the queue wakes it.
 //
 // What happens when a queue is full is the port's overflow policy:
 //
@@ -34,10 +35,13 @@
 package nic
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/netip"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -238,6 +242,7 @@ type PortConfig struct {
 type Port struct {
 	queues []ring.Buffer[*Buf]
 	qstats []queueCounters
+	waits  []rxWait
 	pool   *Mempool
 	hasher *rss.Hasher
 
@@ -272,6 +277,7 @@ func NewPort(cfg PortConfig) (*Port, error) {
 	p := &Port{
 		queues:       make([]ring.Buffer[*Buf], cfg.Queues),
 		qstats:       make([]queueCounters, cfg.Queues),
+		waits:        make([]rxWait, cfg.Queues),
 		pool:         cfg.Pool,
 		hasher:       h,
 		policy:       cfg.Policy,
@@ -421,9 +427,9 @@ func (b *backoff) wait() {
 // policy. It owns accounting for both outcomes.
 func (p *Port) enqueue(q int, b *Buf) InjectStatus {
 	nbytes := uint64(b.Len)
-	ok := p.queues[q].Push(b)
+	ok := p.push(q, b)
 	if !ok && p.policy == Block {
-		ok = p.blockWait(func() bool { return p.queues[q].Push(b) })
+		ok = p.blockWait(func() bool { return p.push(q, b) })
 	}
 	if ok {
 		p.qstats[q].ipackets.Add(1)
@@ -539,11 +545,11 @@ func (p *Port) flushQueue(q int, bufs []*Buf) int {
 	for _, b := range bufs {
 		nbytes += uint64(b.Len)
 	}
-	n := p.queues[q].PushBurst(bufs)
+	n := p.pushBurst(q, bufs)
 	rest := bufs[n:]
 	if len(rest) > 0 && p.policy == Block {
 		p.blockWait(func() bool {
-			k := p.queues[q].PushBurst(rest)
+			k := p.pushBurst(q, rest)
 			n += k
 			rest = rest[k:]
 			return len(rest) == 0
@@ -559,6 +565,112 @@ func (p *Port) flushQueue(q int, bufs []*Buf) int {
 	p.qstats[q].ipackets.Add(uint64(n))
 	p.qstats[q].ibytes.Add(nbytes)
 	return n
+}
+
+// push enqueues b on queue q and wakes the queue's parked consumers
+// when it went in. Every producer path pushes through push or pushBurst,
+// so no frame can land in a queue whose consumer sleeps on.
+func (p *Port) push(q int, b *Buf) bool {
+	if !p.queues[q].Push(b) {
+		return false
+	}
+	p.wake(q)
+	return true
+}
+
+// pushBurst is push for a batch; it returns how many bufs went in.
+func (p *Port) pushBurst(q int, bufs []*Buf) int {
+	n := p.queues[q].PushBurst(bufs)
+	if n > 0 {
+		p.wake(q)
+	}
+	return n
+}
+
+// rxWait is one RX queue's parking state: the wake channels of the
+// consumers sleeping until a producer enqueues on the queue.
+type rxWait struct {
+	parked  atomic.Int32 // len(waiters), for the producers' lock-free check
+	mu      sync.Mutex
+	waiters []chan struct{}
+}
+
+// wake signals every consumer parked on queue q. While none is parked —
+// always, for a loaded queue — it costs one atomic load.
+func (p *Port) wake(q int) {
+	w := &p.waits[q]
+	if w.parked.Load() == 0 {
+		return
+	}
+	w.mu.Lock()
+	for _, ch := range w.waiters {
+		select {
+		case ch <- struct{}{}:
+		default: // already signalled
+		}
+	}
+	clear(w.waiters)
+	w.waiters = w.waiters[:0]
+	w.parked.Store(0)
+	w.mu.Unlock()
+}
+
+// Parker lets one RX consumer sleep while its queue is empty instead of
+// polling it. Each consumer goroutine owns its Parker; a MultiConsumer
+// queue may have several, and a push wakes all that are parked.
+type Parker struct {
+	port *Port
+	q    int
+	wake chan struct{}
+}
+
+// NewParker returns a Parker for a consumer of queue q, which must be in
+// range.
+func (p *Port) NewParker(q int) *Parker {
+	return &Parker{port: p, q: q, wake: make(chan struct{}, 1)}
+}
+
+// Park blocks until a producer enqueues on the queue or ctx is done, and
+// returns at once if the queue already holds frames. No push can slip
+// between a consumer's last empty poll and its sleep: Park registers the
+// consumer (a sequentially consistent store) before it checks the ring
+// again, and every push checks for registered consumers (a sequentially
+// consistent load) after the ring's own store, so one side sees the
+// other. A park/wake cycle does not allocate once the queue's waiter list
+// has grown to its consumer count.
+func (k *Parker) Park(ctx context.Context) {
+	w := &k.port.waits[k.q]
+	w.mu.Lock()
+	w.waiters = append(w.waiters, k.wake)
+	w.parked.Store(int32(len(w.waiters)))
+	w.mu.Unlock()
+	if k.port.queues[k.q].Len() == 0 {
+		select {
+		case <-k.wake:
+		case <-ctx.Done():
+		}
+	}
+	w.mu.Lock()
+	if i := slices.Index(w.waiters, k.wake); i >= 0 {
+		w.waiters = slices.Delete(w.waiters, i, i+1)
+		w.parked.Store(int32(len(w.waiters)))
+	}
+	w.mu.Unlock()
+	// Unregistered, k.wake gets no further signal; drop one that raced the
+	// re-check or ctx so the next Park does not return early.
+	select {
+	case <-k.wake:
+	default:
+	}
+}
+
+// Parked returns how many consumers are parked on queue q (for
+// monitoring; 0 for out-of-range q).
+func (p *Port) Parked(q int) int {
+	if q < 0 || q >= len(p.waits) {
+		return 0
+	}
+	return int(p.waits[q].parked.Load())
 }
 
 // BurstStager batches frames for InjectBurst on behalf of sources that

@@ -46,9 +46,6 @@ type Config struct {
 	BufSize int
 	// Burst is the RxBurst size (default 64).
 	Burst int
-	// Poll tunes the measurement workers' adaptive idle ladder
-	// (spin → yield → decaying sleep; zero values get defaults).
-	Poll core.PollConfig
 
 	// Overflow selects what injection does when an RX queue is full:
 	// nic.Drop (default, NIC-faithful: frame lost, counted Imissed) or
@@ -273,9 +270,9 @@ type sinkShard struct {
 	rpts   []tsdb.RefPoint
 	vals   []float64
 
-	mu       sync.Mutex
-	arcs     recentRing[analytics.Enriched]
-	frameBuf []analytics.Enriched // reusable WS frame scratch (marshalled under mu)
+	mu    sync.Mutex
+	arcs  recentRing[analytics.Enriched]
+	frame []byte // live WS frame scratch (encoded under mu)
 }
 
 // New assembles a pipeline.
@@ -341,7 +338,6 @@ func New(cfg Config) (*Pipeline, error) {
 			OnExpire: p.onExpire,
 		},
 		Burst: cfg.Burst,
-		Poll:  cfg.Poll,
 	}
 	if cfg.TrackTimestamps {
 		engCfg.TSSink = core.TSSinkFunc(p.onTSSample)

@@ -37,9 +37,9 @@ func TestNewValidation(t *testing.T) {
 
 func TestPipelineBackpressureKnobs(t *testing.T) {
 	// The full pipeline assembled with every new ingest knob: Block
-	// overflow (lossless source), multi-consumer rings, tuned adaptive
-	// polling, burst drive. Deliberately small queues so the source
-	// actually backpressures, which under Drop would lose frames.
+	// overflow (lossless source), multi-consumer rings, burst drive.
+	// Deliberately small queues so the source actually backpressures,
+	// which under Drop would lose frames.
 	w := newWorld(t)
 	p, err := New(Config{
 		GeoDB:            w.DB(),
@@ -48,7 +48,6 @@ func TestPipelineBackpressureKnobs(t *testing.T) {
 		Burst:            16,
 		Overflow:         nic.Block,
 		MultiConsumer:    true,
-		Poll:             core.PollConfig{Spin: 8, Yield: 4, SleepMax: 20 * time.Microsecond},
 		HandshakeTimeout: 60e9,
 	})
 	if err != nil {

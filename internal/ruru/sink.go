@@ -18,12 +18,12 @@ package ruru
 // affinity: per-key processing order is preserved and per-key state never
 // crosses workers. Workers drain their shard channel in bursts of up to
 // SinkBatch, write the TSDB points with one batched, stripe-locked call, and
-// coalesce the burst into one WebSocket frame — skipping JSON marshalling
+// coalesce the burst into one WebSocket frame — skipping JSON encoding
 // entirely when no client is connected.
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"sort"
 
 	"ruru/internal/analytics"
@@ -173,26 +173,14 @@ func (p *Pipeline) writeSinkBatch(sh *sinkShard, batch []sinkItem) {
 
 // consumeBatch dispatches one burst to all sinks: a single striped-lock
 // TSDB batch write through interned series handles (zero-alloc at steady
-// state), one coalesced WebSocket frame (only marshalled when a client is
-// connected, into the shard's reusable frame buffer), the anomaly
-// detectors in arrival order, and the shard's arc ring.
+// state), one coalesced WebSocket frame (only encoded when a client is
+// connected), the anomaly detectors in arrival order, and the shard's arc
+// ring.
 func (p *Pipeline) consumeBatch(sh *sinkShard, batch []sinkItem) {
 	p.writeSinkBatch(sh, batch)
 
 	if p.Hub.LiveClients() > 0 {
-		sh.mu.Lock()
-		frame := sh.frameBuf[:0]
-		for i := range batch {
-			frame = append(frame, batch[i].e)
-		}
-		sh.frameBuf = frame
-		data, err := json.Marshal(frame)
-		sh.mu.Unlock()
-		if err == nil {
-			// data is freshly allocated per call — the Hub retains it in
-			// client queues, so only the frame scratch is reusable.
-			p.Hub.Broadcast(data)
-		}
+		p.broadcastLive(sh, batch)
 	}
 
 	if p.Hub.RollupClients() > 0 {
@@ -224,6 +212,26 @@ func (p *Pipeline) consumeBatch(sh *sinkShard, batch []sinkItem) {
 		sh.arcs.push(batch[i].e)
 	}
 	sh.mu.Unlock()
+}
+
+// broadcastLive encodes items as one /ws live frame, a JSON array of
+// Enriched byte-identical to json.Marshal's, into the shard's scratch and
+// broadcasts a copy: the Hub keeps the bytes in client queues, so only
+// the scratch is reusable.
+func (p *Pipeline) broadcastLive(sh *sinkShard, items []sinkItem) {
+	sh.mu.Lock()
+	b := append(sh.frame[:0], '[')
+	for i := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = analytics.AppendEnrichedJSON(b, &items[i].e)
+	}
+	b = append(b, ']')
+	sh.frame = b
+	data := bytes.Clone(b)
+	sh.mu.Unlock()
+	p.Hub.Broadcast(data)
 }
 
 // offerDetectors feeds one measurement to the anomaly detectors and the
@@ -286,16 +294,7 @@ func (p *Pipeline) Feed(e *analytics.Enriched) {
 		p.sinkWriteErrors.Add(1)
 	}
 	if p.Hub.LiveClients() > 0 {
-		// Reuse the shard's frame buffer under its lock instead of
-		// marshalling a fresh one-element slice per call; the marshalled
-		// bytes stay per-call (the Hub retains them).
-		sh.mu.Lock()
-		sh.frameBuf = append(sh.frameBuf[:0], *e)
-		data, err := json.Marshal(sh.frameBuf)
-		sh.mu.Unlock()
-		if err == nil {
-			p.Hub.Broadcast(data)
-		}
+		p.broadcastLive(sh, []sinkItem{{e: *e}})
 	}
 	if p.Hub.RollupClients() > 0 {
 		p.Delta.Add(e)

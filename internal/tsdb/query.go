@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 )
@@ -85,26 +84,9 @@ type Bucket struct {
 // MarshalJSON emits non-finite aggregate values (the NaN an empty bucket
 // carries for value aggregations) as JSON null: encoding/json has no
 // representation for NaN/±Inf and would otherwise fail the entire
-// response mid-stream.
+// response mid-stream. It wraps the same appender AppendResultsJSON uses.
 func (b Bucket) MarshalJSON() ([]byte, error) {
-	type bucketJSON struct {
-		Start int64                `json:"start"`
-		Count int                  `json:"count"`
-		Aggs  map[AggKind]*float64 `json:"aggs"`
-	}
-	out := bucketJSON{Start: b.Start, Count: b.Count}
-	if b.Aggs != nil {
-		out.Aggs = make(map[AggKind]*float64, len(b.Aggs))
-		for k, v := range b.Aggs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				out.Aggs[k] = nil
-				continue
-			}
-			v := v
-			out.Aggs[k] = &v
-		}
-	}
-	return json.Marshal(out)
+	return appendBucketJSON(nil, &b), nil
 }
 
 // SeriesResult is the output for one group.

@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -205,8 +206,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, res)
+	// The body is byte-identical to writeJSON(w, res), encoded into pooled
+	// scratch and sent in one Write.
+	bp := queryBufPool.Get().(*[]byte)
+	b := append(tsdb.AppendResultsJSON((*bp)[:0], res), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(b)
+	if cap(b) <= maxPooledQueryBuf {
+		*bp = b
+		queryBufPool.Put(bp)
+	}
 }
+
+// queryBufPool recycles /api/query encode buffers. A buffer that one huge
+// response grew past maxPooledQueryBuf goes to the GC instead, so the
+// pool does not pin its memory.
+var queryBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledQueryBuf = 1 << 20
 
 func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()

@@ -362,10 +362,10 @@ func (c *Conn) writeFrame(op Opcode, payload []byte, fin bool) error {
 		maskBytes(mask, 0, masked)
 		payload = masked
 	}
-	if _, err := c.conn.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := c.conn.Write(payload)
+	// One writev: with TCP_NODELAY (Go's default) two Writes would cost two
+	// syscalls and two segments per frame.
+	bufs := net.Buffers{hdr[:n], payload}
+	_, err := bufs.WriteTo(c.conn)
 	return err
 }
 

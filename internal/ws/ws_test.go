@@ -2,7 +2,11 @@ package ws
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -75,6 +79,72 @@ func TestBinaryAndLargeMessages(t *testing.T) {
 		}
 		if op != OpBinary || !bytes.Equal(got, msg) {
 			t.Fatalf("size %d corrupted (got %d bytes)", size, len(got))
+		}
+	}
+}
+
+func TestWriteFrameWireFormat(t *testing.T) {
+	// The bytes on the wire at each length-encoding boundary, checked
+	// against RFC 6455 §5.2 directly rather than through our own reader: a
+	// server frame is unmasked, a client frame masked, and header and
+	// payload arrive back to back over a real TCP connection.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, server := range []bool{true, false} {
+		for _, size := range []int{0, 125, 126, 65535, 65536} {
+			a, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &Conn{conn: a, server: server, rng: rand.New(rand.NewSource(int64(size)))}
+			want := bytes.Repeat([]byte{0x5a}, size)
+			payload := bytes.Clone(want)
+			errc := make(chan error, 1)
+			go func() { errc <- c.WriteMessage(OpBinary, payload) }()
+			hdr := []byte{0x82, 0}
+			switch {
+			case size < 126:
+				hdr[1] = byte(size)
+			case size <= 0xffff:
+				hdr[1] = 126
+				hdr = binary.BigEndian.AppendUint16(hdr, uint16(size))
+			default:
+				hdr[1] = 127
+				hdr = binary.BigEndian.AppendUint64(hdr, uint64(size))
+			}
+			maskLen := 0
+			if !server {
+				hdr[1] |= 0x80
+				maskLen = 4
+			}
+			wire := make([]byte, len(hdr)+maskLen+size)
+			if _, err := io.ReadFull(b, wire); err != nil {
+				t.Fatalf("server=%v size %d: %v", server, size, err)
+			}
+			if err := <-errc; err != nil {
+				t.Fatalf("server=%v size %d: write: %v", server, size, err)
+			}
+			if !bytes.Equal(wire[:len(hdr)], hdr) {
+				t.Fatalf("server=%v size %d: header % x, want % x", server, size, wire[:len(hdr)], hdr)
+			}
+			got := wire[len(hdr)+maskLen:]
+			if !server {
+				var mask [4]byte
+				copy(mask[:], wire[len(hdr):])
+				maskBytes(mask, 0, got)
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(payload, want) {
+				t.Fatalf("server=%v size %d: payload corrupted on the wire or in the caller's buffer", server, size)
+			}
+			a.Close()
+			b.Close()
 		}
 	}
 }
