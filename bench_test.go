@@ -212,7 +212,7 @@ func BenchmarkE7Toeplitz(b *testing.B) {
 	})
 }
 
-// BenchmarkConsume measures the sink stage's drain rate — enriched topic →
+// BenchmarkConsume measures the sink stage's drain rate — Pipeline.Enqueue →
 // sharded workers → batched, stripe-locked TSDB writes — at 1 worker (the
 // old single-goroutine consumer topology) versus 4. The msg/s ratio between
 // the sub-benchmarks is the sharded-sink scaling claim; on a single-CPU box

@@ -1,12 +1,19 @@
 // Package analytics implements the Ruru Analytics stage (paper §2): it
-// consumes raw latency measurements from the measurement engine over the
-// message bus, resolves both endpoints against the geo/AS database with a
-// pool of workers ("retrieve geographical locations ... using multiple
-// threads"), strips the IP addresses for privacy, and republishes the
-// enriched records for the storage and frontend stages.
+// receives raw latency measurements from the measurement engine, resolves
+// both endpoints against the geo/AS database with a pool of workers
+// ("retrieve geographical locations ... using multiple threads"), strips
+// the IP addresses for privacy, and hands the enriched records to the
+// storage and frontend stages.
+//
+// Inside one process the records travel as typed values: the Enricher is
+// the engine's core.Sink, and each worker passes its result to a function
+// the embedder supplies. The message bus is an observer-only egress: a
+// MarshalMeasurement copy goes to TopicRaw and a MarshalEnriched copy to
+// TopicEnriched only while some subscription matches that topic.
 package analytics
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -17,54 +24,58 @@ import (
 	"ruru/internal/mq"
 )
 
-// Bus topics used by the pipeline stages.
+// Bus topics the stage publishes observer copies on.
 const (
-	// TopicRaw carries MarshalMeasurement payloads from the engine.
+	// TopicRaw carries MarshalMeasurement copies of the engine's output.
 	TopicRaw = "ruru.raw"
-	// TopicEnriched carries MarshalEnriched payloads to sinks.
+	// TopicEnriched carries MarshalEnriched copies of the enriched output.
 	TopicEnriched = "ruru.enriched"
 )
 
 // Stats counts enricher outcomes.
 type Stats struct {
-	In           uint64 // raw measurements consumed
-	Out          uint64 // enriched measurements published
+	In           uint64 // raw measurements taken off the queue
+	Out          uint64 // enriched measurements handed on
 	LookupMisses uint64 // endpoints not found in the geo DB
-	DecodeErrors uint64 // malformed raw messages
-	SubDropped   uint64 // raw messages dropped at our subscription HWM
+	SubDropped   uint64 // raw measurements dropped at the full queue
 }
 
 // Config configures an Enricher.
 type Config struct {
 	// DB is the geo/AS database. Required.
 	DB *geo.DB
-	// Bus carries raw measurements in and enriched measurements out.
+	// Bus receives the observer copies on TopicRaw and TopicEnriched.
 	// Required.
 	Bus *mq.Bus
 	// Workers is the enrichment pool size (default 4, the paper uses
 	// "multiple threads").
 	Workers int
-	// HWM is the raw subscription high-water mark (default mq.DefaultHWM).
+	// HWM is the capacity of the engine→enricher queue (default
+	// mq.DefaultHWM); Emit sheds measurements beyond it.
 	HWM int
 	// Filter, when non-nil, drops enriched measurements for which it
-	// returns false before publication — the paper's pluggable filter
-	// module ("one could add a filter module ... based on some criteria").
+	// returns false before the hand-off and the bus copy — the paper's
+	// pluggable filter module ("one could add a filter module ... based
+	// on some criteria").
 	Filter func(*Enriched) bool
 }
 
 // Enricher is the analytics stage.
 type Enricher struct {
-	cfg Config
-	sub *mq.Subscription
+	cfg     Config
+	queue   chan core.Measurement
+	handoff func(context.Context, *Enriched)
 
 	in           atomic.Uint64
 	out          atomic.Uint64
 	lookupMisses atomic.Uint64
-	decodeErrors atomic.Uint64
+	dropped      atomic.Uint64
 }
 
-// NewEnricher validates cfg and subscribes to the raw topic.
-func NewEnricher(cfg Config) (*Enricher, error) {
+// NewEnricher validates cfg and allocates the input queue. Each worker
+// passes every enriched measurement to out, which may block (it gets the
+// Run context); a nil out leaves the bus copies as the only output.
+func NewEnricher(cfg Config, out func(context.Context, *Enriched)) (*Enricher, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("analytics: Config.DB is required")
 	}
@@ -74,11 +85,10 @@ func NewEnricher(cfg Config) (*Enricher, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	sub, err := cfg.Bus.Subscribe(TopicRaw, cfg.HWM)
-	if err != nil {
-		return nil, err
+	if cfg.HWM <= 0 {
+		cfg.HWM = mq.DefaultHWM
 	}
-	return &Enricher{cfg: cfg, sub: sub}, nil
+	return &Enricher{cfg: cfg, queue: make(chan core.Measurement, cfg.HWM), handoff: out}, nil
 }
 
 // Stats returns a snapshot of the stage counters.
@@ -87,12 +97,29 @@ func (e *Enricher) Stats() Stats {
 		In:           e.in.Load(),
 		Out:          e.out.Load(),
 		LookupMisses: e.lookupMisses.Load(),
-		DecodeErrors: e.decodeErrors.Load(),
-		SubDropped:   e.sub.Dropped(),
+		SubDropped:   e.dropped.Load(),
 	}
 }
 
-// Run processes messages until ctx is cancelled or the bus closes.
+// Emit implements core.Sink: it queues a copy of m for the worker pool.
+// It never blocks, so the measurement fast path cannot stall — a full
+// queue sheds m and counts it in Stats.SubDropped, the way the paper's
+// ZeroMQ sockets shed at their high-water mark. A TopicRaw subscriber
+// gets an encoded copy.
+func (e *Enricher) Emit(m *core.Measurement) {
+	if e.cfg.Bus.HasSubscriber(TopicRaw) {
+		// The payload's ownership passes to the subscribers: no reuse.
+		e.cfg.Bus.Publish(mq.Message{Topic: TopicRaw, Payload: MarshalMeasurement(nil, m)})
+	}
+	select {
+	case e.queue <- *m:
+	default:
+		e.dropped.Add(1)
+	}
+}
+
+// Run processes measurements until ctx is cancelled. Whatever is still
+// queued then is abandoned.
 func (e *Enricher) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for w := 0; w < e.cfg.Workers; w++ {
@@ -107,32 +134,27 @@ func (e *Enricher) Run(ctx context.Context) error {
 }
 
 func (e *Enricher) worker(ctx context.Context) {
-	var m core.Measurement
 	var enriched Enriched
-	scratch := make([]byte, 0, 512)
+	var scratch []byte
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case msg, ok := <-e.sub.C():
-			if !ok {
-				return
-			}
+		case m := <-e.queue:
 			e.in.Add(1)
-			if err := UnmarshalMeasurement(msg.Payload, &m); err != nil {
-				e.decodeErrors.Add(1)
-				continue
-			}
 			e.enrich(&m, &enriched)
 			if e.cfg.Filter != nil && !e.cfg.Filter(&enriched) {
 				continue
 			}
-			scratch = MarshalEnriched(scratch, &enriched)
-			// Publish with a copied payload: the bus does not copy and
-			// scratch is reused on the next iteration.
-			out := make([]byte, len(scratch))
-			copy(out, scratch)
-			e.cfg.Bus.Publish(mq.Message{Topic: TopicEnriched, Payload: out})
+			if e.cfg.Bus.HasSubscriber(TopicEnriched) {
+				// Encode into reused scratch, publish an exact-size copy:
+				// the bus does not copy and subscribers keep the payload.
+				scratch = MarshalEnriched(scratch, &enriched)
+				e.cfg.Bus.Publish(mq.Message{Topic: TopicEnriched, Payload: bytes.Clone(scratch)})
+			}
+			if e.handoff != nil {
+				e.handoff(ctx, &enriched)
+			}
 			e.out.Add(1)
 		}
 	}
@@ -163,25 +185,4 @@ func (e *Enricher) enrich(m *core.Measurement, out *Enriched) {
 		e.lookupMisses.Add(1)
 		out.Dst = Endpoint{CountryCode: "??", Country: "Unknown", City: "Unknown"}
 	}
-}
-
-// BusSink adapts the message bus to the core.Sink interface: the engine's
-// measurements are serialized and published on TopicRaw. Emit never blocks
-// (bus semantics), so the measurement fast path cannot stall — slow
-// consumers shed load at their HWM exactly like the paper's ZeroMQ sockets.
-type BusSink struct {
-	Bus *mq.Bus
-}
-
-// NewBusSink returns a sink publishing to bus.
-func NewBusSink(bus *mq.Bus) *BusSink {
-	return &BusSink{Bus: bus}
-}
-
-// Emit implements core.Sink. It costs one small allocation per measurement
-// (the payload's ownership passes to the bus subscribers, so the buffer
-// cannot be reused) — measurements arrive at connection rate, orders of
-// magnitude below packet rate, so this is off the packet fast path.
-func (s *BusSink) Emit(m *core.Measurement) {
-	s.Bus.Publish(mq.Message{Topic: TopicRaw, Payload: MarshalMeasurement(nil, m)})
 }

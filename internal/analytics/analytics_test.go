@@ -192,7 +192,9 @@ func TestEnricherEndToEnd(t *testing.T) {
 	w := newWorld(t)
 	bus := mq.NewBus()
 	defer bus.Close()
-	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 2})
+	handed := make(chan Enriched, 1)
+	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 2},
+		func(_ context.Context, e *Enriched) { handed <- *e })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,6 @@ func TestEnricherEndToEnd(t *testing.T) {
 	defer cancel()
 	go enr.Run(ctx)
 
-	sink := NewBusSink(bus)
 	m := core.Measurement{
 		Flow: core.FlowKey{
 			Client:     w.Addr(0, 1, 99), // Auckland
@@ -210,13 +211,17 @@ func TestEnricherEndToEnd(t *testing.T) {
 		},
 		Internal: 15e6, External: 130e6, Total: 145e6, ACKTime: 42,
 	}
-	sink.Emit(&m)
+	enr.Emit(&m)
 
 	select {
 	case msg := <-out.C():
 		var e Enriched
 		if err := UnmarshalEnriched(msg.Payload, &e); err != nil {
 			t.Fatal(err)
+		}
+		// The typed hand-off and the bus observer copy carry one record.
+		if typed := <-handed; typed != e {
+			t.Fatalf("hand-off %+v != bus copy %+v", typed, e)
 		}
 		if e.Src.City != "Auckland" || e.Dst.City != "Los Angeles" {
 			t.Fatalf("enrichment wrong: %+v", e)
@@ -240,7 +245,7 @@ func TestEnricherUnknownAddress(t *testing.T) {
 	w := newWorld(t)
 	bus := mq.NewBus()
 	defer bus.Close()
-	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 1})
+	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +261,7 @@ func TestEnricherUnknownAddress(t *testing.T) {
 			ClientPort: 1, ServerPort: 2,
 		},
 	}
-	NewBusSink(bus).Emit(&m)
+	enr.Emit(&m)
 	select {
 	case msg := <-out.C():
 		var e Enriched
@@ -280,7 +285,7 @@ func TestEnricherFilterModule(t *testing.T) {
 	bus := mq.NewBus()
 	defer bus.Close()
 	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 1,
-		Filter: func(e *Enriched) bool { return e.Src.CountryCode == "NZ" }})
+		Filter: func(e *Enriched) bool { return e.Src.CountryCode == "NZ" }}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +294,10 @@ func TestEnricherFilterModule(t *testing.T) {
 	defer cancel()
 	go enr.Run(ctx)
 
-	sink := NewBusSink(bus)
 	mNZ := core.Measurement{Flow: core.FlowKey{Client: w.Addr(0, 0, 1), Server: w.Addr(1, 0, 1)}}
 	mUS := core.Measurement{Flow: core.FlowKey{Client: w.Addr(1, 0, 2), Server: w.Addr(0, 0, 2)}}
-	sink.Emit(&mUS)
-	sink.Emit(&mNZ)
+	enr.Emit(&mUS)
+	enr.Emit(&mNZ)
 
 	select {
 	case msg := <-out.C():
@@ -318,10 +322,10 @@ func TestEnricherValidation(t *testing.T) {
 	w := newWorld(t)
 	bus := mq.NewBus()
 	defer bus.Close()
-	if _, err := NewEnricher(Config{Bus: bus}); err == nil {
+	if _, err := NewEnricher(Config{Bus: bus}, nil); err == nil {
 		t.Fatal("nil DB accepted")
 	}
-	if _, err := NewEnricher(Config{DB: w.DB()}); err == nil {
+	if _, err := NewEnricher(Config{DB: w.DB()}, nil); err == nil {
 		t.Fatal("nil bus accepted")
 	}
 }
@@ -330,7 +334,7 @@ func TestEnricherThroughputManyMeasurements(t *testing.T) {
 	w := newWorld(t)
 	bus := mq.NewBus()
 	defer bus.Close()
-	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 4, HWM: 1 << 16})
+	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 4, HWM: 1 << 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +343,6 @@ func TestEnricherThroughputManyMeasurements(t *testing.T) {
 	defer cancel()
 	go enr.Run(ctx)
 
-	sink := NewBusSink(bus)
 	const n = 5000
 	go func() {
 		for i := 0; i < n; i++ {
@@ -351,7 +354,7 @@ func TestEnricherThroughputManyMeasurements(t *testing.T) {
 				},
 				Internal: int64(i), External: int64(2 * i), Total: int64(3 * i),
 			}
-			sink.Emit(&m)
+			enr.Emit(&m)
 		}
 	}()
 	received := 0
@@ -367,22 +370,21 @@ func TestEnricherThroughputManyMeasurements(t *testing.T) {
 }
 
 func TestEnricherShedsLoadAtHWM(t *testing.T) {
-	// ZeroMQ semantics: when the enricher cannot keep up, the raw topic
-	// drops at the subscription HWM instead of stalling the publisher.
+	// ZeroMQ semantics: when the enricher cannot keep up, its input queue
+	// drops at the HWM instead of stalling the engine.
 	w := newWorld(t)
 	bus := mq.NewBus()
 	defer bus.Close()
-	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 1, HWM: 8})
+	enr, err := NewEnricher(Config{DB: w.DB(), Bus: bus, Workers: 1, HWM: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Do NOT run the enricher: its subscription queue fills at 8.
-	sink := NewBusSink(bus)
+	// Do NOT run the enricher: its input queue fills at 8.
 	m := core.Measurement{Flow: core.FlowKey{
 		Client: w.Addr(0, 0, 1), Server: w.Addr(1, 0, 1)}}
 	start := time.Now()
 	for i := 0; i < 10000; i++ {
-		sink.Emit(&m)
+		enr.Emit(&m)
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("publisher blocked on saturated enricher")

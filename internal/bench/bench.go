@@ -305,7 +305,7 @@ func benchSeqRTT(b *testing.B) {
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "pps")
 }
 
-// benchSinkConsume: enriched topic → sharded sink workers → batched
+// benchSinkConsume: Pipeline.Enqueue → sharded sink workers → batched
 // interned-ref TSDB writes (bench_test.go BenchmarkConsume, 4 workers).
 func benchSinkConsume(b *testing.B) {
 	b.ReportAllocs()

@@ -8,7 +8,6 @@ import (
 
 	"ruru/internal/analytics"
 	"ruru/internal/geo"
-	"ruru/internal/mq"
 	"ruru/internal/ruru"
 )
 
@@ -18,13 +17,12 @@ import (
 // ledger alongside. The Workers=1 row is the old single-goroutine consumer
 // topology; the ratio against it is the tentpole's scaling claim.
 type E11Row struct {
-	Workers   int
-	Stripes   int
-	Messages  int
-	Stored    uint64
-	Drops     uint64 // enriched-subscription HWM losses
-	DecodeErr uint64
-	Rate      float64 // stored measurements per wall-clock second
+	Workers  int
+	Stripes  int
+	Messages int
+	Stored   uint64
+	Drops    uint64  // SinkDrop: measurements shed before the sink
+	Rate     float64 // stored measurements per wall-clock second
 }
 
 // E11Config parameterizes the sink sweep.
@@ -36,12 +34,11 @@ type E11Config struct {
 	Pairs      int   // distinct city pairs, i.e. shard keys (default 32)
 }
 
-// E11 publishes pre-marshalled enriched measurements straight onto the
-// enriched topic — isolating the storage/visualization stage from packet
+// E11 enqueues enriched measurements straight into the sink stage through
+// Pipeline.Enqueue — isolating the storage/visualization stage from packet
 // processing — and measures how fast each sink configuration drains them.
-// The producer is flow-controlled under the subscription HWM so the number
-// reported is the sink's drain rate, not the publisher's; any HWM drop is
-// reported in the row.
+// Enqueue blocks while the owning shard is full, so the producer runs at
+// the sink's drain rate and nothing is shed.
 func E11(cfg E11Config, w io.Writer) ([]E11Row, error) {
 	if len(cfg.WorkerList) == 0 {
 		cfg.WorkerList = []int{1, 4}
@@ -58,39 +55,38 @@ func E11(cfg E11Config, w io.Writer) ([]E11Row, error) {
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = 32
 	}
-	payloads := make([][]byte, cfg.Pairs)
-	for i := range payloads {
-		e := analytics.Enriched{
+	items := make([]analytics.Enriched, cfg.Pairs)
+	for i := range items {
+		items[i] = analytics.Enriched{
 			Time: 1e9, InternalNs: 15e6, ExternalNs: 130e6, TotalNs: 145e6,
 			Src: analytics.Endpoint{City: fmt.Sprintf("SrcCity%d", i), CountryCode: "NZ",
 				Lat: -36.85, Lon: 174.76, ASN: uint32(64000 + i)},
 			Dst: analytics.Endpoint{City: fmt.Sprintf("DstCity%d", i), CountryCode: "US",
 				Lat: 34.05, Lon: -118.24, ASN: 64500},
 		}
-		payloads[i] = analytics.MarshalEnriched(nil, &e)
 	}
 
 	if w != nil {
 		fmt.Fprintf(w, "E11: sharded sink drain rate (%d measurements, batch %d, %d DB stripes, %d city pairs)\n",
 			cfg.Messages, cfg.Batch, cfg.Stripes, cfg.Pairs)
-		fmt.Fprintf(w, "  %-8s %12s %10s %10s %12s\n", "workers", "stored", "drops", "decodeErr", "msg/s")
+		fmt.Fprintf(w, "  %-8s %12s %10s %12s\n", "workers", "stored", "drops", "msg/s")
 	}
 	rows := make([]E11Row, 0, len(cfg.WorkerList))
 	for _, workers := range cfg.WorkerList {
-		row, err := e11Run(workers, cfg, payloads)
+		row, err := e11Run(workers, cfg, items)
 		if err != nil {
 			return rows, err
 		}
 		rows = append(rows, row)
 		if w != nil {
-			fmt.Fprintf(w, "  %-8d %12d %10d %10d %12.0f\n",
-				row.Workers, row.Stored, row.Drops, row.DecodeErr, row.Rate)
+			fmt.Fprintf(w, "  %-8d %12d %10d %12.0f\n",
+				row.Workers, row.Stored, row.Drops, row.Rate)
 		}
 	}
 	return rows, nil
 }
 
-func e11Run(workers int, cfg E11Config, payloads [][]byte) (row E11Row, err error) {
+func e11Run(workers int, cfg E11Config, items []analytics.Enriched) (row E11Row, err error) {
 	row = E11Row{Workers: workers, Stripes: cfg.Stripes, Messages: cfg.Messages}
 	world, err := geo.NewWorld(geo.WorldOptions{Seed: 1})
 	if err != nil {
@@ -121,22 +117,11 @@ func e11Run(workers int, cfg E11Config, payloads [][]byte) (row E11Row, err erro
 
 	accounted := func() uint64 {
 		st := p.Stats()
-		return st.DBPoints + st.SinkDrop + st.SinkDecodeErrors + st.DBDropped
+		return st.DBPoints + st.SinkDrop + st.DBDropped + st.DBWriteErrors
 	}
-	// Flow-control check only once per window: Stats() walks every stage,
-	// and probing it per message would throttle the producer enough to
-	// understate the drain rate being measured.
-	const window = 1 << 12
 	start := time.Now()
-	published := 0
-	for published < cfg.Messages {
-		if published%window == 0 {
-			for uint64(published)-accounted() > 1<<14 {
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-		p.Bus.Publish(mq.Message{Topic: ruru.TopicEnriched, Payload: payloads[published%len(payloads)]})
-		published++
+	for i := 0; i < cfg.Messages; i++ {
+		p.Enqueue(ctx, &items[i%len(items)])
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for accounted() < uint64(cfg.Messages) {
@@ -152,7 +137,6 @@ func e11Run(workers int, cfg E11Config, payloads [][]byte) (row E11Row, err erro
 	st := p.Stats()
 	row.Stored = st.DBPoints
 	row.Drops = st.SinkDrop
-	row.DecodeErr = st.SinkDecodeErrors
 	row.Rate = float64(st.DBPoints) / elapsed.Seconds()
 	return row, nil
 }

@@ -52,6 +52,9 @@ type Bus struct {
 	mu     sync.RWMutex
 	subs   map[*Subscription]struct{}
 	closed bool
+	// nsubs mirrors len(subs) so HasSubscriber answers lock-free on a
+	// bus nobody listens to.
+	nsubs atomic.Int32
 
 	published atomic.Uint64
 	dropped   atomic.Uint64
@@ -85,6 +88,7 @@ func (b *Bus) Subscribe(prefix string, hwm int) (*Subscription, error) {
 		return nil, ErrClosed
 	}
 	b.subs[s] = struct{}{}
+	b.nsubs.Store(int32(len(b.subs)))
 	return s, nil
 }
 
@@ -101,6 +105,7 @@ func (s *Subscription) Close() {
 	s.once.Do(func() {
 		s.bus.mu.Lock()
 		delete(s.bus.subs, s)
+		s.bus.nsubs.Store(int32(len(s.bus.subs)))
 		s.bus.mu.Unlock()
 		close(s.ch)
 	})
@@ -127,6 +132,25 @@ func (b *Bus) Publish(msg Message) {
 			b.dropped.Add(1)
 		}
 	}
+}
+
+// HasSubscriber reports whether a Publish on topic would reach at least
+// one subscriber right now. Publishers whose payload costs an encode ask
+// first and skip both when nobody listens; a subscription racing the
+// check simply starts with the next message. An idle bus answers with
+// one atomic load.
+func (b *Bus) HasSubscriber(topic string) bool {
+	if b.nsubs.Load() == 0 {
+		return false
+	}
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for s := range b.subs {
+		if strings.HasPrefix(topic, s.prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats returns (published, dropped) counters.

@@ -50,6 +50,30 @@ func TestEmptyPrefixMatchesAll(t *testing.T) {
 	}
 }
 
+func TestHasSubscriberTracksPrefixes(t *testing.T) {
+	b := NewBus()
+	if b.HasSubscriber("latency.v4") {
+		t.Fatal("empty bus reports a subscriber")
+	}
+	lat, _ := b.Subscribe("latency.", 1)
+	all, _ := b.Subscribe("", 1)
+	if !b.HasSubscriber("stats.port") || !b.HasSubscriber("latency.v4") {
+		t.Fatal("catch-all subscription not seen")
+	}
+	all.Close()
+	if b.HasSubscriber("stats.port") {
+		t.Fatal("closed subscription still matches")
+	}
+	if !b.HasSubscriber("latency.v4") {
+		t.Fatal("prefix subscription not seen")
+	}
+	b.Close()
+	if b.HasSubscriber("latency.v4") {
+		t.Fatal("closed bus reports a subscriber")
+	}
+	lat.Close() // already closed by the bus: a no-op
+}
+
 func TestHWMDropsInsteadOfBlocking(t *testing.T) {
 	b := NewBus()
 	defer b.Close()

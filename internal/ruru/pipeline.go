@@ -1,9 +1,14 @@
 // Package ruru assembles the full pipeline from the paper's Figure 2:
 //
 //	traffic → [nic: RSS → per-core queues] → [core: handshake engine]
-//	        → (mq "ZeroMQ" bus, raw topic) → [analytics: geo enrich + anonymize]
-//	        → (mq bus, enriched topic) → { tsdb sink, WebSocket hub,
-//	                                        anomaly detectors, arc feed }
+//	        → (bounded queue) → [analytics: geo enrich + anonymize]
+//	        → (per-shard channel) → { tsdb sink, WebSocket hub,
+//	                                   anomaly detectors, arc feed }
+//
+// Measurements cross the stage boundaries as typed values. The mq bus
+// ("ZeroMQ") is an observer-only egress: the raw and enriched topics carry
+// encoded copies, made only while a subscriber (a custom module, the TCP
+// publisher, the federation probe) listens on that topic.
 //
 // This is the public-facing entry point a downstream user embeds: construct
 // a Pipeline, inject traffic into Pipeline.Port (from the generator, a pcap
@@ -176,11 +181,18 @@ type Config struct {
 	Federate fed.AggConfig
 }
 
-// Measurement topics re-exported for consumers wiring extra modules in.
+// Observer topics re-exported for consumers wiring extra modules in.
 const (
 	TopicRaw      = analytics.TopicRaw
 	TopicEnriched = analytics.TopicEnriched
 )
+
+// enrichQueueDepth is the capacity of the engine→enricher queue, the one
+// stage hand-off that sheds (SinkDrop) instead of blocking. It keeps the
+// depth of the bus subscriptions that used to sit there: at 150k
+// measurements/s (e2ebench's handshake rate on a 2-vCPU VM) it absorbs
+// about 0.2 s of enricher or sink stall before shedding.
+const enrichQueueDepth = 1 << 15
 
 // pairTopKeys is the capacity of the city-pair latency summary: enough for
 // every pair among ~16 cities, bounded regardless of traffic.
@@ -211,7 +223,7 @@ type Pipeline struct {
 	Pool     *nic.Mempool        // packet buffer pool shared by all queues
 	Port     *nic.Port           // ingest: Inject*/RxBurst and per-queue stats
 	Engine   *core.Engine        // per-queue handshake measurement workers
-	Bus      *mq.Bus             // PUB/SUB bus carrying raw + enriched topics
+	Bus      *mq.Bus             // PUB/SUB egress: observer copies of raw + enriched records
 	Enricher *analytics.Enricher // geo/AS enrichment worker pool
 	DB       *tsdb.DB            // embedded TSDB (queries, snapshot, rollups)
 	Hub      *ws.Hub             // WebSocket fan-out to live frontends
@@ -250,10 +262,8 @@ type Pipeline struct {
 	seqSamples atomic.Uint64
 	lossPoints atomic.Uint64
 
-	sinkSub          *mq.Subscription
-	sinkShards       []*sinkShard
-	sinkDecodeErrors atomic.Uint64
-	sinkWriteErrors  atomic.Uint64
+	sinkShards      []*sinkShard
+	sinkWriteErrors atomic.Uint64
 }
 
 // sinkShard is the state owned by one sink worker: its routing channel,
@@ -328,10 +338,15 @@ func New(cfg Config) (*Pipeline, error) {
 		p.SNMP = anomaly.NewSNMPPoller(cfg.SNMPInterval)
 	}
 
-	sink := analytics.NewBusSink(p.Bus)
+	p.Enricher, err = analytics.NewEnricher(analytics.Config{
+		DB: cfg.GeoDB, Bus: p.Bus, Workers: cfg.EnrichWorkers, HWM: enrichQueueDepth,
+	}, p.Enqueue)
+	if err != nil {
+		return nil, err
+	}
 	engCfg := core.EngineConfig{
 		Port: p.Port,
-		Sink: sink,
+		Sink: p.Enricher,
 		Table: core.TableConfig{
 			Capacity: cfg.TableCapacity,
 			Timeout:  cfg.HandshakeTimeout,
@@ -377,12 +392,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Enricher, err = analytics.NewEnricher(analytics.Config{
-		DB: cfg.GeoDB, Bus: p.Bus, Workers: cfg.EnrichWorkers, HWM: 1 << 15,
-	})
-	if err != nil {
-		return nil, err
-	}
 	var persist *tsdb.PersistOptions
 	if cfg.Persist.Dir != "" {
 		pp := cfg.Persist
@@ -407,10 +416,6 @@ func New(cfg Config) (*Pipeline, error) {
 		}
 	}
 
-	p.sinkSub, err = p.Bus.Subscribe(TopicEnriched, 1<<15)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.RemoteWrite.Addr != "" {
 		p.Remote, err = fed.NewProbe(cfg.RemoteWrite, p.Bus)
 		if err != nil {
@@ -559,11 +564,6 @@ func (p *Pipeline) Run(ctx context.Context) error {
 	}()
 	go func() {
 		defer wg.Done()
-		p.runSinkDispatcher(ctx)
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
 		p.runRollupFlusher(ctx)
 	}()
 	for _, sh := range p.sinkShards {
@@ -648,23 +648,31 @@ func (p *Pipeline) FlushDetectors() {
 	}
 }
 
-// Stats is a full-pipeline counter snapshot. Together the sink counters
-// account for every enriched measurement: while the pipeline runs, each one
-// published on the bus is either stored (DBPoints), lost at the sink
-// subscription's high-water mark (SinkDrop), malformed (SinkDecodeErrors),
-// or behind the retention horizon at write time (DBDropped) — no steady-
-// state loss class is silent. The ledger balances once the sink has drained;
-// cancelling Run abandons whatever is still queued inside the sink stage
-// uncounted (shutdown, like any crash, loses in-flight work).
+// Stats is a full-pipeline counter snapshot. Together the counters account
+// for every completed handshake:
+//
+//	Engine.Completed == DBPoints + SinkDrop + DBDropped + DBWriteErrors
+//
+// Each measurement the engine completes is either stored (DBPoints), shed
+// at the full engine→enricher queue (SinkDrop), behind the retention
+// horizon at write time (DBDropped), or refused by a failing write
+// (DBWriteErrors) — no steady-state loss class is silent. DBPoints also
+// counts the continuous-RTT and loss points (TSSamples, SeqSamples,
+// LossPoints) when those trackers run. The ledger balances once the stages
+// have drained; cancelling Run abandons whatever is still queued uncounted
+// (shutdown, like any crash, loses in-flight work).
 type Stats struct {
 	Port     nic.Stats
 	Queues   []nic.QueueStats // per-RX-queue counters and ring watermarks
 	Engine   core.TableStats
 	Enricher analytics.Stats
-	BusPub   uint64
-	BusDrop  uint64
-	HubSent  uint64
-	HubDrop  uint64
+	// BusPub counts observer copies published on the bus and BusDrop the
+	// copies subscribers shed at their high-water marks. Both stay zero
+	// while nothing subscribes: copies are encoded only for a listener.
+	BusPub  uint64
+	BusDrop uint64
+	HubSent uint64
+	HubDrop uint64
 	// RollupFrames counts coalesced delta frames broadcast to the
 	// /ws?stream=rollup audience and RollupCells the per-(pair, bucket)
 	// cells they carried — the read-side cost of the rollup feed, which is
@@ -676,12 +684,15 @@ type Stats struct {
 	// were older than the retention horizon (previously discarded from
 	// the snapshot entirely).
 	DBDropped uint64
-	// SinkDecodeErrors counts enriched bus messages the sink could not
-	// decode (previously swallowed by a bare continue).
+	// SinkDecodeErrors stays for readers built against the old ledger.
+	//
+	// Deprecated: always zero. Stages pass typed values, so the sink
+	// decodes nothing; leave it out of the ledger.
 	SinkDecodeErrors uint64
-	// SinkDrop counts enriched messages lost at the sink subscription's
-	// high-water mark — the collector-can't-keep-up signal (previously
-	// never surfaced).
+	// SinkDrop counts measurements shed at the full engine→enricher queue
+	// (Enricher.SubDropped), the only hand-off that drops instead of
+	// blocking: an enricher or sink that cannot keep up shows here — the
+	// collector-can't-keep-up signal.
 	SinkDrop uint64
 	// DBWriteErrors counts measurements whose TSDB write failed: a Close
 	// racing a sink worker, or — on a persistent pipeline — a WAL append
@@ -745,33 +756,33 @@ func (p *Pipeline) Stats() Stats {
 	if p.Agg != nil {
 		agg = p.Agg.Stats()
 	}
+	enr := p.Enricher.Stats()
 	return Stats{
-		Port:             p.Port.Stats(),
-		Queues:           queues,
-		Engine:           p.Engine.Stats(),
-		Enricher:         p.Enricher.Stats(),
-		BusPub:           pub,
-		BusDrop:          drop,
-		HubSent:          sent,
-		HubDrop:          hdrop,
-		RollupFrames:     rframes,
-		RollupCells:      rcells,
-		DBPoints:         written,
-		DBDropped:        dbDropped,
-		SinkDecodeErrors: p.sinkDecodeErrors.Load(),
-		SinkDrop:         p.sinkSub.Dropped(),
-		DBWriteErrors:    p.sinkWriteErrors.Load(),
-		TSSamples:        p.tsSamples.Load(),
-		SpikeEvicted:     p.spikeEventsEvicted.Load(),
-		SeqSamples:       p.seqSamples.Load(),
-		LossPoints:       p.lossPoints.Load(),
-		TSRTT:            p.Engine.TSStats(),
-		Seq:              p.Engine.SeqStats(),
-		Sketch:           p.Engine.SketchStats(),
-		QueryCache:       p.DB.CacheStats(),
-		Persist:          p.DB.PersistStats(),
-		Remote:           remote,
-		Fed:              agg,
+		Port:          p.Port.Stats(),
+		Queues:        queues,
+		Engine:        p.Engine.Stats(),
+		Enricher:      enr,
+		BusPub:        pub,
+		BusDrop:       drop,
+		HubSent:       sent,
+		HubDrop:       hdrop,
+		RollupFrames:  rframes,
+		RollupCells:   rcells,
+		DBPoints:      written,
+		DBDropped:     dbDropped,
+		SinkDrop:      enr.SubDropped,
+		DBWriteErrors: p.sinkWriteErrors.Load(),
+		TSSamples:     p.tsSamples.Load(),
+		SpikeEvicted:  p.spikeEventsEvicted.Load(),
+		SeqSamples:    p.seqSamples.Load(),
+		LossPoints:    p.lossPoints.Load(),
+		TSRTT:         p.Engine.TSStats(),
+		Seq:           p.Engine.SeqStats(),
+		Sketch:        p.Engine.SketchStats(),
+		QueryCache:    p.DB.CacheStats(),
+		Persist:       p.DB.PersistStats(),
+		Remote:        remote,
+		Fed:           agg,
 	}
 }
 

@@ -186,11 +186,11 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	// Loss accounting: every completed measurement must be stored or show
 	// up in a named drop/error counter — nothing silent.
-	if st.Engine.Completed != st.DBPoints+st.SinkDrop+st.SinkDecodeErrors+st.DBDropped {
-		t.Fatalf("measurement ledger does not balance: completed=%d db=%d sinkDrop=%d decodeErr=%d dbDropped=%d",
-			st.Engine.Completed, st.DBPoints, st.SinkDrop, st.SinkDecodeErrors, st.DBDropped)
+	if st.Engine.Completed != ledger(st) {
+		t.Fatalf("measurement ledger does not balance: completed=%d db=%d sinkDrop=%d dbDropped=%d writeErr=%d",
+			st.Engine.Completed, st.DBPoints, st.SinkDrop, st.DBDropped, st.DBWriteErrors)
 	}
-	if st.SinkDrop != 0 || st.SinkDecodeErrors != 0 || st.DBDropped != 0 {
+	if st.SinkDrop != 0 || st.DBDropped != 0 {
 		t.Fatalf("unexpected sink losses: %+v", st)
 	}
 

@@ -9,9 +9,9 @@ package ruru
 // measurement system's output. This file replaces that consumer with a pool
 // of sink workers:
 //
-//	sinkSub ──► dispatcher ──► shard 0 worker ──► { WriteBatch, detectors,
-//	           (decode+hash)   shard 1 worker       arc ring, WS frame }
-//	                           ...
+//	enricher ──► Enqueue ──► shard 0 worker ──► { WriteBatch, detectors,
+//	 workers    (pair hash)  shard 1 worker       arc ring, WS frame }
+//	                         ...
 //
 // Measurements are partitioned by a hash of the src_city→dst_city pair, so
 // each anomaly-detector key and each TSDB latency series keeps single-worker
@@ -28,20 +28,20 @@ import (
 
 	"ruru/internal/analytics"
 	"ruru/internal/hashx"
-	"ruru/internal/mq"
 	"ruru/internal/tsdb"
 )
 
-// sinkItem is one decoded enriched measurement routed to a sink worker,
-// with the detector key precomputed by the dispatcher.
+// sinkItem is one enriched measurement routed to a sink worker, with the
+// detector key precomputed by Enqueue.
 type sinkItem struct {
 	e    analytics.Enriched
 	pair string
 }
 
 // sinkShardDepth is the per-worker channel capacity. Together with the
-// subscription HWM it bounds in-flight measurements; a stalled worker
-// backpressures the dispatcher, which surfaces as SinkDrop at the HWM.
+// engine→enricher queue it bounds in-flight measurements; a stalled worker
+// blocks the enricher workers, whose queue then sheds at its capacity
+// (SinkDrop).
 const sinkShardDepth = 4096
 
 // pairKey is the detector/shard-routing key of a measurement. The format
@@ -56,34 +56,14 @@ func (p *Pipeline) shardFor(pair string) *sinkShard {
 	return p.sinkShards[hashx.FNV1a32(pair)%uint32(len(p.sinkShards))]
 }
 
-// runSinkDispatcher drains the enriched subscription, decodes each message
-// and hands it to its shard's worker. Decode failures are counted in
-// Stats().SinkDecodeErrors (they used to be silently discarded);
-// subscription HWM overflow is visible as Stats().SinkDrop.
-func (p *Pipeline) runSinkDispatcher(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case msg, ok := <-p.sinkSub.C():
-			if !ok {
-				return
-			}
-			p.routeSink(ctx, msg)
-		}
-	}
-}
-
-func (p *Pipeline) routeSink(ctx context.Context, msg mq.Message) {
-	var it sinkItem
-	if err := analytics.UnmarshalEnriched(msg.Payload, &it.e); err != nil {
-		p.sinkDecodeErrors.Add(1)
-		return
-	}
-	it.pair = pairKey(&it.e)
-	sh := p.shardFor(it.pair)
+// Enqueue is the sink stage's asynchronous ingress, the hand-off each
+// enricher worker calls: it routes e by its pair key and blocks until the
+// owning shard's worker has room or ctx is done (then e is abandoned, like
+// everything else in flight at shutdown). Safe for concurrent use.
+func (p *Pipeline) Enqueue(ctx context.Context, e *analytics.Enriched) {
+	it := sinkItem{e: *e, pair: pairKey(e)}
 	select {
-	case sh.ch <- it:
+	case p.shardFor(it.pair).ch <- it:
 	case <-ctx.Done():
 	}
 }
@@ -282,10 +262,10 @@ func (r *recentRing[T]) ordered() []T {
 
 // Feed injects an enriched measurement directly into the sink stage,
 // bypassing packet processing and the worker pool — synchronous, used by
-// harnesses and the quickstart example to exercise storage/visualization in
-// isolation. Safe concurrently with a running pipeline: it takes the same
-// per-shard lock as the owning worker, though cross-call ordering against
-// bus-delivered measurements on the same key is then unspecified.
+// tests to exercise storage/visualization in isolation. Safe concurrently
+// with a running pipeline: it takes the same per-shard lock as the owning
+// worker, though cross-call ordering against enqueued measurements on the
+// same key is then unspecified.
 func (p *Pipeline) Feed(e *analytics.Enriched) {
 	pair := pairKey(e)
 	sh := p.shardFor(pair)
